@@ -48,8 +48,8 @@ lint-json: $(LINT_BIN)
 
 # Per-analyzer finding and suppression counts: the findings come from
 # the same vet run as lint-json; suppressions are the exception-granting
-# directives (//pathsep:detached, //pathsep:lease-bypass, the
-# writes=views grant) counted in non-test library sources. Rising
+# directives (//pathsep:detached, //pathsep:lease-bypass) counted in
+# non-test library sources. Rising
 # suppressions with flat findings means exceptions are doing an
 # analyzer's job — worth a look in review.
 lint-stats: $(LINT_BIN)
@@ -63,7 +63,7 @@ race:
 
 # The runtime determinism gate: rebuild the oracle on three graph
 # families across GOMAXPROCS {1,4}, workers {1,2,4,0} and shuffled task
-# submission, and fail on any byte diff of the pointer or flat encodings.
+# submission, and fail on any byte diff of the flat image encoding.
 determinism:
 	DETERMINISM_GATE=1 $(GO) test -run TestDeterminismGate -v .
 
@@ -71,7 +71,6 @@ determinism:
 FUZZ_TARGETS := \
 	internal/graph:FuzzGraphIO \
 	internal/oracle:FuzzDecodeLabel \
-	internal/oracle:FuzzDecodeOracle \
 	internal/oracle:FuzzDecodeFlat \
 	internal/oracle:FuzzFlatRoundTrip \
 	internal/routing:FuzzDecodeAddr \

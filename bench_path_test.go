@@ -131,12 +131,13 @@ func TestPathServingGate(t *testing.T) {
 		t.Fatalf("Flat.QueryPath allocated: %.2f allocs per 64-query loop with a warm buffer, want 0", allocs)
 	}
 	// Budget 2.5x: the original 2x budget was calibrated against the AoS
-	// sweep's ~490ns distance query. The lane layout cut the denominator
-	// by ~15% while the walk's absolute overhead (argmin replay + chain
-	// assembly, ~420ns) is independent of merge speed, so the same
-	// healthy walk now reads as a higher ratio; 2.5 is the old budget
-	// rescaled to the new distance floor plus shared-runner headroom. A
-	// real regression in the argmin or walk code still trips it.
+	// sweep's ~490ns distance query. The suffix-min lane cut the
+	// denominator by ~15%, while the path query's own merge runs the AoS
+	// argmin fold (pairMinArg over the stored portals) and then the chain
+	// assembly, a cost independent of the lane, so the same healthy walk
+	// reads as a higher ratio; 2.5 is the old budget rescaled to the new
+	// distance floor plus shared-runner headroom. A real regression in
+	// the argmin or walk code still trips it.
 	if ratio > 2.5 {
 		t.Fatalf("path query costs %.2fx a distance query (path %.0fns, dist %.0fns), budget 2.5x", ratio, path, dist)
 	}

@@ -146,8 +146,8 @@ func TestQueryServingGate(t *testing.T) {
 		}
 	})
 	// The warm batch path (reused output buffer) must be allocation-free
-	// too: the scheduling scratch lives on the stack and the serial fast
-	// path runs without a pool.
+	// too: pairs are answered in caller order and the serial fast path
+	// runs without a pool.
 	batchAllocs := testing.AllocsPerRun(100, func() {
 		out = fx.fl.QueryBatch(fx.pairs, out)
 	})

@@ -10,7 +10,7 @@
 // -mode pins the separator strategy (auto|tree|bag|planar|greedy; unknown
 // values are rejected) and -workers bounds the construction pool. With
 // -image the input is a flat oracle image instead of a graph, and the
-// report covers the serving layout: sweep-lane pool sizes, alignment,
+// report covers the serving layout: portal pool and sweep-lane sizes,
 // and the per-entry portal-run length distribution that drives merge
 // sweep cost.
 package main
@@ -120,10 +120,10 @@ func main() {
 }
 
 // inspectImage reports the serving layout of a flat oracle image: header
-// metadata, pool sizes (wire portal pool vs the derived sweep lanes the
-// queries actually walk), lane alignment, and the per-entry portal-run
-// length distribution — short runs are one-candidate sweeps, long runs
-// are where the suffix-min fold and the batch scheduler earn their keep.
+// metadata, pool sizes (wire portal pool vs the derived sweep lane the
+// distance queries actually walk), and the per-entry portal-run length
+// distribution — short runs are one-candidate sweeps, long runs are
+// where the suffix-min fold earns its keep.
 func inspectImage(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -137,8 +137,8 @@ func inspectImage(path string) error {
 		path, fl.N(), fl.Eps(), fl.Mode(), fl.PathReporting())
 	fmt.Printf("  keys=%d entries=%d portals=%d encoded=%d B\n",
 		fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
-	fmt.Printf("  portal pool %d B (wire AoS), sweep lanes %d B (derived), lane pool 64B-aligned: %v\n",
-		16*fl.NumPortals(), fl.LaneBytes(), fl.LaneAligned())
+	fmt.Printf("  portal pool %d B (wire AoS), sweep lane %d B (derived)\n",
+		16*fl.NumPortals(), fl.LaneBytes())
 
 	// Path sections: present on wire-v2 images, absent on distance-only
 	// v1 images — printed as `absent`, matching the 409 Conflict that

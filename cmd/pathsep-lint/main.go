@@ -25,8 +25,8 @@
 // With -stats as the first argument, standalone mode prints a
 // per-analyzer table instead: finding counts from the same vet run,
 // plus suppression counts — the exception-granting directive comments
-// (//pathsep:detached, //pathsep:lease-bypass, the writes=views grant)
-// found in non-test library sources, attributed to the analyzer each
+// (//pathsep:detached, //pathsep:lease-bypass) found in non-test
+// library sources, attributed to the analyzer each
 // one silences. The table makes directive creep visible: a rising
 // suppression count with flat findings means exceptions are doing the
 // analyzer's job.
@@ -244,9 +244,8 @@ func runJSON(self string, patterns []string, outPath string) int {
 // //pathsep:hotpath, //pathsep:lease on a type) configure an analyzer
 // rather than suppress it and are deliberately not counted.
 var suppressionDirectives = map[string]string{
-	"//pathsep:detached":             "ctxdone",
-	"//pathsep:lease-bypass":         "leasepair",
-	"//pathsep:hotpath writes=views": "unsafeview",
+	"//pathsep:detached":     "ctxdone",
+	"//pathsep:lease-bypass": "leasepair",
 }
 
 // countSuppressions walks the non-test, non-vendored library sources

@@ -1,7 +1,7 @@
 // The runtime determinism gate (make determinism): every schedule the
 // pipeline can experience — different GOMAXPROCS, different pool widths,
-// shuffled task submission order — must produce byte-identical pointer
-// and flat oracle encodings. The static side of the same invariant is the
+// shuffled task submission order — must produce a byte-identical flat
+// oracle image and the same path-reporting capability. The static side of the same invariant is the
 // maporder/slotwrite/sortcmp analyzer trio; this gate catches whatever
 // slips past a conservative static pass.
 //
@@ -24,9 +24,9 @@ import (
 	"pathsep/internal/par"
 )
 
-// buildEncodings decomposes and builds one oracle and returns the pointer
-// and flat encodings.
-func buildEncodings(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode oracle.Mode, workers int) (ptr, flat []byte) {
+// buildEncoding decomposes, builds and freezes one oracle and returns
+// the flat image encoding.
+func buildEncoding(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode oracle.Mode, workers int) []byte {
 	t.Helper()
 	dec, err := core.Decompose(g, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: workers})
 	if err != nil {
@@ -40,7 +40,10 @@ func buildEncodings(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode orac
 	if err != nil {
 		t.Fatalf("freeze: %v", err)
 	}
-	return o.Encode(), fz.Encode()
+	if fz.PathReporting() != o.PathReporting() {
+		t.Fatalf("freeze: image path reporting %v, oracle %v", fz.PathReporting(), o.PathReporting())
+	}
+	return fz.Encode()
 }
 
 // TestDeterminismGate is the exhaustive schedule matrix. Enable with
@@ -68,8 +71,8 @@ func runMatrix(t *testing.T, gomaxprocs, workerCounts []int, seeds []int64) {
 			}
 			// Reference: serial build, identity submission order.
 			par.SetShuffleSeed(0)
-			refPtr, refFlat := buildEncodings(t, fam.g, fam.rot, mode, 1)
-			if len(refPtr) == 0 || len(refFlat) == 0 {
+			refFlat := buildEncoding(t, fam.g, fam.rot, mode, 1)
+			if len(refFlat) == 0 {
 				t.Fatalf("%s/%s: empty reference encoding", name, modeName)
 			}
 			for _, gmp := range gomaxprocs {
@@ -79,11 +82,7 @@ func runMatrix(t *testing.T, gomaxprocs, workerCounts []int, seeds []int64) {
 						par.SetShuffleSeed(seed)
 						cfg := fmt.Sprintf("%s/%s gomaxprocs=%d workers=%d shuffle=%#x",
 							name, modeName, gmp, workers, seed)
-						ptr, flat := buildEncodings(t, fam.g, fam.rot, mode, workers)
-						if !bytes.Equal(ptr, refPtr) {
-							t.Errorf("%s: pointer encoding differs from serial reference (%d vs %d bytes)",
-								cfg, len(ptr), len(refPtr))
-						}
+						flat := buildEncoding(t, fam.g, fam.rot, mode, workers)
 						if !bytes.Equal(flat, refFlat) {
 							t.Errorf("%s: flat encoding differs from serial reference (%d vs %d bytes)",
 								cfg, len(flat), len(refFlat))

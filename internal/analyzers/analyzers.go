@@ -24,8 +24,7 @@
 //     path, with no use-after-release, one generation per response, and
 //     no raw atomic access to the leased pointer
 //   - unsafeview:  unsafe.Slice image views are validation-dominated,
-//     read-only outside the sanctioned writer, and never outlive their
-//     backing buffer
+//     read-only everywhere, and never outlive their backing buffer
 //   - offwire:     encoder and decoder agree on every wire section's
 //     stride, widths, and counts, and decoded sections are
 //     element-validated

@@ -24,14 +24,6 @@
 // opt-in contract, not a style rule. Assignment- and return-position
 // interface conversions are not yet detected; call sites are by far the
 // common leak.
-//
-// Only the bare directive opts a function in. Argumented forms such as
-//
-//	//pathsep:hotpath writes=views
-//
-// address other analyzers (unsafeview's sanctioned-writer grant) and
-// deliberately do NOT impose the zero-alloc contract: a sanctioned view
-// writer like Flat.derive allocates the arrays it then fills.
 package hotalloc
 
 import (

@@ -54,8 +54,8 @@ func cold(xs []int) {
 
 func consume(window []int32) {}
 
-// okWindow is the two-phase merge idiom from the flat query path: a
-// fixed-size stack array buffers matches and is re-sliced per flush.
+// okWindow is the two-phase merge idiom: a fixed-size stack array
+// buffers matches and is re-sliced per flush.
 // Array variables and slicing them never allocate, so the tagged
 // function stays clean.
 //
@@ -83,17 +83,4 @@ func okWindow(keys []int32) int32 {
 		scratch[x] = uint64(best)
 	}
 	return best + int32(scratch[0])
-}
-
-// sanctionedWriter carries the argumented form of the directive, which
-// grants unsafeview's write permission but does NOT opt into the
-// zero-alloc contract — it allocates freely with no diagnostics.
-//
-//pathsep:hotpath writes=views
-func sanctionedWriter(n int) []float64 {
-	lanes := make([]float64, n)
-	for i := range lanes {
-		lanes[i] = float64(i)
-	}
-	return append(lanes, 0)
 }

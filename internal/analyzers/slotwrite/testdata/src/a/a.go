@@ -117,7 +117,7 @@ func goodFork(p *par.Pool) (int, int) {
 	return a, b
 }
 
-// goodScheduledScatter mirrors the flat batch scheduler: each task
+// goodScheduledScatter is a locality-scheduled batch: each task
 // reorders its own window through a task-local schedule, then scatters
 // answers back to slots derived from the task index. Visiting order is
 // task-private; slot ownership still partitions by task, so the shape

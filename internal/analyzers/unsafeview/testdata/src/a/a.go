@@ -1,6 +1,6 @@
 // Package a exercises the unsafeview analyzer: unsafe.Slice views need
-// dominating bounds and alignment validation, stay read-only outside a
-// sanctioned writer, and may not outlive their backing buffer.
+// dominating bounds and alignment validation, stay read-only, and may
+// not outlive their backing buffer.
 package a
 
 import "unsafe"
@@ -32,9 +32,9 @@ func aligned8(buf []byte) bool {
 	return uintptr(unsafe.Pointer(&buf[0]))%8 == 0
 }
 
-// alignedFloats is an unsafe-using slice factory: its results (and any
+// alignedSlab is an unsafe-using slice factory: its results (and any
 // field they are stored into) are views.
-func alignedFloats(n int) []float64 {
+func alignedSlab(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -128,34 +128,31 @@ func writeViewLocal(buf []byte, n int) {
 		return
 	}
 	r := unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n)
-	r[0] = rec{} // want `write through unsafe-derived view r outside a sanctioned writer`
+	r[0] = rec{} // want `write through unsafe-derived view r`
 }
 
 // write through a view field, package-wide: recs held an unsafe view in
 // the decoders above, so no function may store through it.
 func writeViewField(f *img) {
-	f.recs[0].a = 1 // want `write through unsafe-derived view recs outside a sanctioned writer`
+	f.recs[0].a = 1 // want `write through unsafe-derived view recs`
 }
 
 // copy into a view is a bulk write.
 func copyIntoView(f *img, src []rec) {
-	copy(f.recs, src) // want `copy into unsafe-derived view recs outside a sanctioned writer`
+	copy(f.recs, src) // want `copy into unsafe-derived view recs`
 }
 
-// sanctioned writer: the lane derivation fills views it just built,
-// before the image is published.
-//
-//pathsep:hotpath writes=views
-func deriveLanes(f *img, n int) {
-	f.lane = alignedFloats(n)
-	for i := 0; i < n; i++ {
-		f.lane[i] = 0
-	}
+// fillLane stores a factory result into lane, which makes lane a view
+// field package-wide: not even the function that built it may write
+// through it.
+func fillLane(f *img, n int) {
+	f.lane = alignedSlab(n)
+	f.lane[0] = 1 // want `write through unsafe-derived view lane`
 }
 
-// unsanctioned writer through the factory-derived field.
+// write through the factory-derived field elsewhere.
 func writeLane(f *img) {
-	f.lane[0] = 1 // want `write through unsafe-derived view lane outside a sanctioned writer`
+	f.lane[0] = 1 // want `write through unsafe-derived view lane`
 }
 
 // clean: the builder fills arrays it just made — composite-literal

@@ -1,8 +1,7 @@
 // Package unsafeview polices the zero-copy image views. DecodeFlat
 // reinterprets one owned byte buffer as typed section slices with
-// unsafe.Slice, and the lane pool hands out cache-line-aligned float
-// slices probed with unsafe.Pointer. Both are safe only under
-// discipline the type system cannot see, so this pass enforces it:
+// unsafe.Slice, which is safe only under discipline the type system
+// cannot see, so this pass enforces it:
 //
 //   - validation dominance: every unsafe.Slice view over a buffer must
 //     be dominated by a bounds check of that buffer (a comparison
@@ -14,20 +13,15 @@
 //     short or misaligned image into out-of-bounds typed reads.
 //
 //   - read-only views: unsafe-derived slices — results of unsafe.Slice
-//     or of in-package functions that return a slice and use unsafe
-//     (the aligned-lane allocator), and any struct field such a value
-//     is ever assigned to — are read-only package-wide. Writing
-//     through one mutates the frozen image every concurrent reader
-//     trusts. The sole exception is a sanctioned writer annotated
-//
-//     //pathsep:hotpath writes=views
-//
-//     (the lane derivation, which fills the lanes it just allocated
-//     before the image is published). A function that assigns the
-//     field from a plain make() it performed itself is also exempt for
-//     that field: it owns a fresh heap array, not a view of the mapped
-//     image — this is how the builder and the copying decode fallback
-//     stay clean without annotations.
+//     or of in-package functions that return a slice and use unsafe,
+//     and any struct field such a value is ever assigned to — are
+//     read-only package-wide. Writing through one mutates the frozen
+//     image every concurrent reader trusts. No annotation grants an
+//     exception. The only exemption is ownership: a function that
+//     assigns the field from a plain make() it performed itself owns a
+//     fresh heap array, not a view of the mapped image, and may write
+//     that field — this is how the builder, the copying decode fallback
+//     and the derived query layouts stay clean.
 //
 //   - escape symmetry: if a view over a buffer escapes the
 //     constructing function (returned, or stored into a field or
@@ -50,41 +44,12 @@ import (
 	"pathsep/internal/analyzers/ssaflow"
 )
 
-// hotpathDirective is shared with hotalloc; the writes=views argument
-// turns it into unsafeview's sanctioned-writer annotation (and, being
-// argumented, it no longer opts the function into hotalloc's
-// zero-allocation contract).
-const (
-	hotpathDirective = "//pathsep:hotpath"
-	writesViewsArg   = "writes=views"
-)
-
 // Analyzer is the unsafeview pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "unsafeview",
-	Doc:      "unsafe.Slice views need dominating bounds+alignment validation, stay read-only outside the sanctioned writer, and may not outlive their backing buffer",
+	Doc:      "unsafe.Slice views need dominating bounds+alignment validation, stay read-only, and may not outlive their backing buffer",
 	Requires: []*analysis.Analyzer{inspect.Analyzer, ssaflow.Analyzer},
 	Run:      run,
-}
-
-// sanctionedWriter reports whether fd carries the writes=views form of
-// the hotpath directive.
-func sanctionedWriter(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, hotpathDirective) {
-			continue
-		}
-		for _, f := range strings.Fields(strings.TrimPrefix(text, hotpathDirective)) {
-			if f == writesViewsArg {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // usesUnsafe reports whether node references the unsafe package.
@@ -333,9 +298,8 @@ func (v *vstate) clone() *vstate {
 
 // checker walks one function.
 type checker struct {
-	fx         *facts
-	fd         *ast.FuncDecl
-	sanctioned bool
+	fx *facts
+	fd *ast.FuncDecl
 	// makeOwned: fields and locals this function assigned from a plain
 	// make() — writes through them are writes into fresh heap memory.
 	makeOwned map[types.Object]bool
@@ -352,7 +316,6 @@ func checkFunc(fx *facts, fd *ast.FuncDecl) {
 	c := &checker{
 		fx:          fx,
 		fd:          fd,
-		sanctioned:  sanctionedWriter(fd),
 		makeOwned:   map[types.Object]bool{},
 		viewLocals:  map[types.Object]types.Object{},
 		viewBacking: map[types.Object]ast.Expr{},
@@ -484,7 +447,7 @@ peel:
 	default:
 		return
 	}
-	if obj == nil || c.sanctioned || c.makeOwned[obj] {
+	if obj == nil || c.makeOwned[obj] {
 		return
 	}
 	_, isViewLocal := c.viewLocals[obj]
@@ -492,8 +455,8 @@ peel:
 		return
 	}
 	c.fx.pass.Reportf(lhs.Pos(),
-		"write through unsafe-derived view %s outside a sanctioned writer; views of the frozen image are read-only (annotate the writer %s %s if this mutation is part of image construction)",
-		obj.Name(), hotpathDirective, writesViewsArg)
+		"write through unsafe-derived view %s; views of the frozen image are read-only (build derived data in a plain make() array instead)",
+		obj.Name())
 }
 
 // isMakeCall matches plain make(...) allocations.
@@ -752,7 +715,7 @@ func (c *checker) checkCopyInto(call *ast.CallExpr) {
 	default:
 		return
 	}
-	if obj == nil || c.sanctioned || c.makeOwned[obj] {
+	if obj == nil || c.makeOwned[obj] {
 		return
 	}
 	_, isViewLocal := c.viewLocals[obj]
@@ -760,6 +723,6 @@ func (c *checker) checkCopyInto(call *ast.CallExpr) {
 		return
 	}
 	c.fx.pass.Reportf(call.Pos(),
-		"copy into unsafe-derived view %s outside a sanctioned writer; views of the frozen image are read-only",
+		"copy into unsafe-derived view %s; views of the frozen image are read-only",
 		obj.Name())
 }

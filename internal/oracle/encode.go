@@ -91,190 +91,3 @@ func DecodeLabel(buf []byte) (*Label, error) {
 
 // Bits returns the serialized size of the label in bits.
 func (l *Label) Bits() int { return 8 * len(l.Encode()) }
-
-// Encode serializes the whole oracle: header (vertex count, epsilon) plus
-// length-prefixed per-vertex labels. The format is versioned by a magic
-// byte so stored oracles fail loudly on format drift. Path-reporting
-// oracles use a second magic and interleave each label's hop records
-// (one uvarint per portal, hop+1 so the -1 anchor sentinel encodes as 0)
-// after the label body, then append the separator-path geometry;
-// distance-only oracles keep the legacy magic byte for byte-stable round
-// trips.
-func (o *Oracle) Encode() []byte {
-	var buf []byte
-	magic := byte(oracleMagic)
-	if o.hasPathData {
-		magic = oracleMagicPaths
-	}
-	buf = append(buf, magic)
-	buf = binary.AppendUvarint(buf, uint64(o.N))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.Eps))
-	buf = binary.AppendUvarint(buf, uint64(o.mode))
-	for v := range o.Labels {
-		lb := o.Labels[v].Encode()
-		buf = binary.AppendUvarint(buf, uint64(len(lb)))
-		buf = append(buf, lb...)
-		if o.hasPathData {
-			for _, e := range o.Labels[v].Entries {
-				for _, h := range e.Hops {
-					buf = binary.AppendUvarint(buf, uint64(h+1))
-				}
-			}
-		}
-	}
-	if o.hasPathData {
-		buf = binary.AppendUvarint(buf, uint64(len(o.paths)))
-		for i := range o.paths {
-			p := &o.paths[i]
-			buf = binary.AppendUvarint(buf, uint64(uint32(p.key.Node)))
-			buf = binary.AppendUvarint(buf, uint64(uint16(p.key.Phase)))
-			buf = binary.AppendUvarint(buf, uint64(uint16(p.key.Path)))
-			buf = binary.AppendUvarint(buf, uint64(len(p.verts)))
-			for _, w := range p.verts {
-				buf = binary.AppendUvarint(buf, uint64(uint32(w)))
-			}
-			for _, x := range p.pos {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		}
-	}
-	return buf
-}
-
-const (
-	oracleMagic      = 0x9C
-	oracleMagicPaths = 0x9D
-)
-
-// Decode parses an oracle produced by Encode (either magic).
-func Decode(buf []byte) (*Oracle, error) {
-	if len(buf) == 0 || (buf[0] != oracleMagic && buf[0] != oracleMagicPaths) {
-		return nil, fmt.Errorf("oracle: bad magic")
-	}
-	withPaths := buf[0] == oracleMagicPaths
-	buf = buf[1:]
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("oracle: truncated header")
-	}
-	buf = buf[sz:]
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("oracle: truncated epsilon")
-	}
-	eps := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	mode, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("oracle: truncated mode")
-	}
-	buf = buf[sz:]
-	// Every label costs at least one length byte; reject absurd headers
-	// before allocating.
-	if n > uint64(len(buf)) {
-		return nil, fmt.Errorf("oracle: header claims %d labels in %d bytes", n, len(buf))
-	}
-	o := &Oracle{N: int(n), Eps: eps, mode: Mode(mode), Labels: make([]Label, n), hasPathData: withPaths}
-	for v := uint64(0); v < n; v++ {
-		l, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, fmt.Errorf("oracle: truncated label %d header", v)
-		}
-		buf = buf[sz:]
-		if uint64(len(buf)) < l {
-			return nil, fmt.Errorf("oracle: truncated label %d body", v)
-		}
-		lbl, err := DecodeLabel(buf[:l])
-		if err != nil {
-			return nil, fmt.Errorf("oracle: label %d: %w", v, err)
-		}
-		o.Labels[v] = *lbl
-		buf = buf[l:]
-		if withPaths {
-			for i := range lbl.Entries {
-				e := &o.Labels[v].Entries[i]
-				e.Hops = make([]int32, len(e.Portals))
-				for x := range e.Hops {
-					h, sz := binary.Uvarint(buf)
-					if sz <= 0 {
-						return nil, fmt.Errorf("oracle: truncated label %d hops", v)
-					}
-					buf = buf[sz:]
-					if h > n {
-						return nil, fmt.Errorf("oracle: label %d hop %d out of range", v, h)
-					}
-					e.Hops[x] = int32(h) - 1
-				}
-			}
-		}
-	}
-	if withPaths {
-		np, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, fmt.Errorf("oracle: truncated path count")
-		}
-		buf = buf[sz:]
-		// Every path costs at least 4 bytes of headers.
-		if np > uint64(len(buf))/4+1 {
-			return nil, fmt.Errorf("oracle: header claims %d paths in %d bytes", np, len(buf))
-		}
-		o.paths = make([]sepPath, 0, np)
-		for i := uint64(0); i < np; i++ {
-			var k Key
-			node, sz := binary.Uvarint(buf)
-			if sz <= 0 || node > math.MaxInt32 {
-				return nil, fmt.Errorf("oracle: truncated path %d key", i)
-			}
-			buf = buf[sz:]
-			phase, sz := binary.Uvarint(buf)
-			if sz <= 0 || phase > math.MaxInt16 {
-				return nil, fmt.Errorf("oracle: truncated path %d key", i)
-			}
-			buf = buf[sz:]
-			pidx, sz := binary.Uvarint(buf)
-			if sz <= 0 || pidx > math.MaxInt16 {
-				return nil, fmt.Errorf("oracle: truncated path %d key", i)
-			}
-			buf = buf[sz:]
-			k = Key{Node: int32(node), Phase: int16(phase), Path: int16(pidx)}
-			if i > 0 && !keyLess(o.paths[i-1].key, k) {
-				return nil, fmt.Errorf("oracle: path keys not sorted at %d", i)
-			}
-			nv, sz := binary.Uvarint(buf)
-			if sz <= 0 {
-				return nil, fmt.Errorf("oracle: truncated path %d length", i)
-			}
-			buf = buf[sz:]
-			// Each vertex costs >= 1 byte plus 8 bytes of position.
-			if nv > uint64(len(buf))/9 {
-				return nil, fmt.Errorf("oracle: path %d claims %d vertices in %d bytes", i, nv, len(buf))
-			}
-			p := sepPath{key: k, verts: make([]int32, nv), pos: make([]float64, nv)}
-			for x := range p.verts {
-				w, sz := binary.Uvarint(buf)
-				if sz <= 0 || w >= n {
-					return nil, fmt.Errorf("oracle: path %d vertex out of range", i)
-				}
-				buf = buf[sz:]
-				p.verts[x] = int32(w)
-			}
-			prev := math.Inf(-1)
-			for x := range p.pos {
-				if len(buf) < 8 {
-					return nil, fmt.Errorf("oracle: truncated path %d positions", i)
-				}
-				pv := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-				buf = buf[8:]
-				if math.IsNaN(pv) || pv < prev {
-					return nil, fmt.Errorf("oracle: path %d positions not sorted", i)
-				}
-				prev = pv
-				p.pos[x] = pv
-			}
-			o.paths = append(o.paths, p)
-		}
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("oracle: %d trailing bytes", len(buf))
-	}
-	return o, nil
-}

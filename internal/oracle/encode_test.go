@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,44 +47,6 @@ func TestLabelRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestOracleRoundTripQueriesAgree(t *testing.T) {
-	o := buildSmall(t)
-	o2, err := Decode(o.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o2.N != o.N || o2.Eps != o.Eps {
-		t.Fatal("header mismatch")
-	}
-	for u := 0; u < o.N; u += 3 {
-		for v := 0; v < o.N; v += 5 {
-			a, b := o.Query(u, v), o2.Query(u, v)
-			if a != b && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
-				t.Fatalf("query (%d,%d): %v != %v", u, v, a, b)
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	o := buildSmall(t)
-	buf := o.Encode()
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("nil accepted")
-	}
-	if _, err := Decode(buf[:len(buf)/2]); err == nil {
-		t.Fatal("truncated accepted")
-	}
-	bad := append([]byte{0x00}, buf[1:]...)
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	withTrailer := append(append([]byte{}, buf...), 0xFF)
-	if _, err := Decode(withTrailer); err == nil {
-		t.Fatal("trailing bytes accepted")
 	}
 }
 

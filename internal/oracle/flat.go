@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"time"
-	"unsafe"
 
 	"pathsep/internal/obs"
 	"pathsep/internal/par"
@@ -26,11 +25,10 @@ import (
 // A Flat is immutable after Freeze/DecodeFlat, so Query and QueryBatch are
 // safe for unbounded concurrent use. Queries return bit-identical results
 // to the pointer-walking Oracle.Query: the merge-join visits shared keys in
-// the same order (galloping only skips keys that cannot match), and the
-// portal sweep evaluates exactly the candidate values pairMin evaluates —
-// the per-portal terms fl(Dist+Pos) and fl(Dist−Pos) are precomputed once
-// (with pairMin's own rounding) into the blocked sweep lanes, so every
-// float64 comparison sees the same bits.
+// the same order, and the portal sweep evaluates exactly the candidate
+// values pairMin evaluates — the per-portal terms fl(Dist+Pos) and
+// fl(Dist−Pos) are precomputed once (with pairMin's own rounding) into
+// the sweep lane, so every float64 comparison sees the same bits.
 type Flat struct {
 	n    int
 	eps  float64
@@ -65,15 +63,8 @@ type Flat struct {
 	// pairwise fl(sum+diff) candidates bit for bit. One fold per step,
 	// no running min registers, and no tail pass: once either side is
 	// exhausted the remainder has no partners left and is never touched.
-	// laneSum holds the raw fl(Dist+Pos) values (entry e's at
-	// [portalOff[e], portalOff[e+1])), read only by argminPair's
-	// once-per-query replay of the winning pair. Both pools are 64-byte
-	// aligned. None of this is part of the encoding; it is rebuilt on
-	// decode. schedU/schedV are the key shifts the batch locality
-	// scheduler derives from the entry-table size.
-	lane           []float64
-	laneSum        []float64
-	schedU, schedV uint8
+	// The lane is not part of the encoding; it is rebuilt on decode.
+	lane []float64
 	// Derived walk layout (deriveWalk; path-bearing images only): the hop
 	// forest re-laid-out in heavy-chain order, each chain one contiguous
 	// block in walkBlk — its records' owning vertices child-to-parent,
@@ -159,68 +150,30 @@ func (o *Oracle) Freeze() (*Flat, error) {
 	return f, nil
 }
 
-// alignedFloats allocates n float64s whose first element sits on a
-// 64-byte boundary, so every lane run begins at a predictable cache-line
-// offset. Go only guarantees 8-byte alignment for float64 backing
-// arrays; the slack makes the stronger guarantee unconditional.
-func alignedFloats(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	buf := make([]float64, n+7)
-	off := 0
-	for uintptr(unsafe.Pointer(&buf[off]))%64 != 0 {
-		off++
-	}
-	return buf[off : off+n : off+n]
-}
-
-// derive materializes the sweep lane and the replay sum pool. The sums
-// and differences are rounded here exactly as pairMin rounds them
-// (left-associated fl(Dist+Pos), fl(Dist−Pos)), so the sweep's candidate
-// values — and therefore Query answers — stay bit-identical to the
-// pointer form. Record x's smin precomputes the min of fl(Dist+Pos)
-// over the run's suffix [x, k): min is exact (no rounding), so the
-// query-time fold fl(diff_consumed + smin_other) equals the min of the
-// pairwise candidates fl(sum+diff) the register sweep folds one by one
-// (see the lane layout doc on Flat). It also fixes the batch
-// scheduler's key shifts: the coarser of (entry-table bits − 16) and 6,
-// so a u-block names a ~64-entry portal region and both block numbers
-// fit their 16-bit key lanes.
-//
-// derive is the sanctioned writer of the lane views: it fills the
-// aligned arrays it just allocated, before the image is published.
-// The argumented directive does not opt it into hotalloc (it allocates
-// the lanes by design).
-//
-//pathsep:hotpath writes=views
+// derive materializes the sweep lane. The sums and differences are
+// rounded here exactly as pairMin rounds them (left-associated
+// fl(Dist+Pos), fl(Dist−Pos)), so the sweep's candidate values — and
+// therefore Query answers — stay bit-identical to the pointer form.
+// Record x's smin precomputes the min of fl(Dist+Pos) over the run's
+// suffix [x, k): min is exact (no rounding), so the query-time fold
+// fl(diff_consumed + smin_other) equals the min of the pairwise
+// candidates fl(sum+diff) the register sweep folds one by one (see the
+// lane layout doc on Flat). The lane comes from a plain make and is
+// filled before the image is published.
 func (f *Flat) derive() {
-	f.lane = alignedFloats(3 * len(f.portals))
-	f.laneSum = alignedFloats(len(f.portals))
+	f.lane = make([]float64, 3*len(f.portals))
 	for e := 0; e+1 < len(f.portalOff); e++ {
 		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
 		base := 3 * lo
 		sm := math.Inf(1)
 		for x := hi - lo - 1; x >= 0; x-- {
 			p := f.portals[lo+x]
-			s := p.Dist + p.Pos
-			if s < sm {
+			if s := p.Dist + p.Pos; s < sm {
 				sm = s
 			}
 			f.lane[base+3*x] = p.Pos
 			f.lane[base+3*x+1] = p.Dist - p.Pos
 			f.lane[base+3*x+2] = sm
-			f.laneSum[lo+x] = s
-		}
-	}
-	need := 0
-	for ne := len(f.entryKey); ne>>need != 0; need++ {
-	}
-	f.schedU, f.schedV = 6, 0
-	if need > 16 {
-		f.schedV = uint8(need - 16)
-		if f.schedV > f.schedU {
-			f.schedU = f.schedV
 		}
 	}
 	if f.hasPathData {
@@ -439,21 +392,12 @@ func (f *Flat) NumPortals() int { return len(f.portals) }
 // pool (16 bytes per record).
 func (f *Flat) PortalPoolBytes() int { return 16 * len(f.portals) }
 
-// LaneBytes returns the in-memory size of the derived sweep-lane pools
-// (the record lane plus the replay sum/prefix-min pools; see derive).
-func (f *Flat) LaneBytes() int {
-	return 8 * (len(f.lane) + len(f.laneSum))
-}
-
-// LaneAligned reports whether the sweep-lane pool starts on a 64-byte
-// boundary. derive aligns it unconditionally, so false means the derived
-// layout regressed; an empty pool counts as aligned.
-func (f *Flat) LaneAligned() bool {
-	return len(f.lane) == 0 || uintptr(unsafe.Pointer(&f.lane[0]))%64 == 0
-}
+// LaneBytes returns the in-memory size of the derived sweep lane (24
+// bytes per portal; see derive).
+func (f *Flat) LaneBytes() int { return 8 * len(f.lane) }
 
 // PortalRunLengths appends the per-entry portal-run lengths (the k of
-// each blocked lane group) to dst and returns it — the distribution
+// each lane group) to dst and returns it — the distribution
 // cmd/inspect reports to explain sweep cost.
 func (f *Flat) PortalRunLengths(dst []int) []int {
 	for e := 0; e+1 < len(f.portalOff); e++ {
@@ -517,42 +461,6 @@ func (f *Flat) Query(u, v int) float64 {
 	return est
 }
 
-// gallopSkew is the length ratio at which the entry-key intersection
-// switches from linear advance to galloping: with one list ≥8× longer,
-// exponential probe + binary search bounds the long side's cost at
-// O(short · log(long/short)) instead of O(long) — the skewed-degree
-// regime where a hub vertex carries a huge label and its partner a tiny
-// one.
-const gallopSkew = 8
-
-// gallopTo returns the first index in [lo, hi) with keys[x] >= target.
-// The caller guarantees keys[lo] < target. Exponential probe doubles the
-// step until it overshoots, then a binary search pins the boundary
-// inside the last step — the classic galloping primitive, O(log gap).
-//
-//pathsep:hotpath
-func gallopTo(keys []int32, lo, hi int, target int32) int {
-	step := 1
-	for lo+step < hi && keys[lo+step] < target {
-		lo += step
-		step <<= 1
-	}
-	top := lo + step
-	if top > hi {
-		top = hi
-	}
-	// Invariant: keys[lo] < target <= keys[top] (or top == hi).
-	for lo+1 < top {
-		mid := int(uint(lo+top) >> 1)
-		if keys[mid] < target {
-			lo = mid
-		} else {
-			top = mid
-		}
-	}
-	return top
-}
-
 // sweepRec folds one matched key's merged sweep over two record runs
 // (kA/kB are the runs' lengths in lane slots, 3 per portal; see the
 // lane layout doc on Flat) and returns best folded with the run pair's
@@ -596,20 +504,12 @@ func sweepRec(recA, recB []float64, kA, kB int, best float64) float64 {
 	return best
 }
 
-// matchBuf is the stack window of the two-phase merge-join: matched
-// entry pairs collect here while the key merge runs, then sweep in one
-// second pass. Collecting first lets the collect loop touch every
-// matched run's first lane line up front, so the runs' cache misses
-// resolve in parallel instead of serializing one sweep at a time; a
-// typical query matches 3–4 keys, so the window rarely flushes early.
-const matchBuf = 16
-
 // query is the flat merge-join: two CSR entry ranges advance on int32 key
-// IDs (galloping over the longer one when the lists are ≥8× skewed);
-// matched entries run pairMin's merged sweep (sweepRec) over the blocked
-// record lanes, collected first through the matchBuf window (see above).
-// The candidate values are exactly queryLabels'/pairMin's — min over an
-// identical multiset — which the differential tests pin down bit for bit.
+// IDs, and each matched entry pair runs pairMin's merged sweep (sweepRec)
+// over its sweep-lane runs. The candidate values are exactly
+// queryLabels'/pairMin's — min over an identical multiset — which the
+// differential tests pin down bit for bit. portals counts the pool
+// records visited, for the query_portals histogram.
 //
 //pathsep:hotpath
 func (f *Flat) query(u, v int) (float64, int) {
@@ -618,63 +518,21 @@ func (f *Flat) query(u, v int) (float64, int) {
 	ek, po, ln := f.entryKey, f.portalOff, f.lane
 	i, iEnd := int(f.entryOff[u]), int(f.entryOff[u+1])
 	j, jEnd := int(f.entryOff[v]), int(f.entryOff[v+1])
-	gallop := (iEnd-i) >= gallopSkew*(jEnd-j) || (jEnd-j) >= gallopSkew*(iEnd-i)
-	var mA, mB [matchBuf]int32
-	touch := 0.0
-	nm := 0
 	for i < iEnd && j < jEnd {
 		a, b := ek[i], ek[j]
 		switch {
 		case a == b:
-			if nm == matchBuf {
-				best, portals = f.sweepMatches(mA[:nm], mB[:nm], best, portals)
-				nm = 0
-			}
-			mA[nm], mB[nm] = int32(i), int32(j)
-			nm++
-			// Touch both runs' first lane lines now; the loads carry no
-			// dependency, so the misses overlap with the rest of the merge.
-			if x := 3 * int(po[i]); x < len(ln) {
-				touch += ln[x]
-			}
-			if x := 3 * int(po[j]); x < len(ln) {
-				touch += ln[x]
-			}
+			ia, ka := int(po[i]), int(po[i+1]-po[i])
+			ib, kb := int(po[j]), int(po[j+1]-po[j])
+			portals += ka + kb
+			best = sweepRec(ln[3*ia:3*(ia+ka)], ln[3*ib:3*(ib+kb)], 3*ka, 3*kb, best)
 			i++
 			j++
 		case a < b:
-			if i++; gallop && i < iEnd && ek[i] < b {
-				i = gallopTo(ek, i, iEnd, b)
-			}
+			i++
 		default:
-			if j++; gallop && j < jEnd && ek[j] < a {
-				j = gallopTo(ek, j, jEnd, a)
-			}
+			j++
 		}
-	}
-	best, portals = f.sweepMatches(mA[:nm], mB[:nm], best, portals)
-	if touch < 0 {
-		// Unreachable (positions are non-negative), but keeps the touch
-		// loads live without a data dependency into the sweep phase.
-		portals = 0
-	}
-	return best, portals
-}
-
-// sweepMatches folds the collected matched entry pairs' sweeps into best
-// (see query; portals accumulates the pool records visited for the
-// query_portals histogram).
-//
-//pathsep:hotpath
-func (f *Flat) sweepMatches(mA, mB []int32, best float64, portals int) (float64, int) {
-	po, ln := f.portalOff, f.lane
-	for t := 0; t < len(mA) && t < len(mB); t++ {
-		i, j := int(mA[t]), int(mB[t])
-		ia0, ka := int(po[i]), int(po[i+1]-po[i])
-		ib0, kb := int(po[j]), int(po[j+1]-po[j])
-		portals += ka + kb
-		kA, kB := 3*ka, 3*kb
-		best = sweepRec(ln[3*ia0:3*ia0+kA], ln[3*ib0:3*ib0+kB], kA, kB, best)
 	}
 	return best, portals
 }
@@ -702,142 +560,19 @@ type Pair struct {
 // steal further chunks instead of idling.
 const batchChunksPerWorker = 8
 
-// Batch locality scheduling: a chunk's pairs are answered in an order
-// that visits the portal pool front to back instead of at the caller's
-// random walk, so consecutive queries hit overlapping entry-table and
-// lane regions while they are still cached. schedWindow bounds the
-// reorder window (and the on-stack scratch: 8 bytes per pair);
-// schedMinPairs keeps tiny batches on the straight path, where a sort
-// costs more than the locality buys.
-const (
-	schedWindow   = 2048
-	schedMinPairs = 128
-)
-
-// schedKey packs the locality sort key for one pair: the high 16 bits
-// are u's entry-offset block (each block names a contiguous ~64-entry
-// portal region; see derive for the shifts), the low 16 bits v's, so the
-// sort clusters first by the u-side region and then by the v-side within
-// it. Out-of-range pairs sort last. The key orders work only — answers
-// land in their original slots regardless.
-func (f *Flat) schedKey(p Pair) uint64 {
-	if p.U < 0 || p.V < 0 || int(p.U) >= f.n || int(p.V) >= f.n {
-		return (1 << 32) - 1
-	}
-	eu := uint64(f.entryOff[p.U]) >> f.schedU
-	ev := uint64(f.entryOff[p.V]) >> f.schedV
-	return eu<<16 | ev
-}
-
-// schedSort orders the window's packed (key, slot) records by their
-// high-32 key with a 3-pass LSD radix over 11-bit digits — the generic
-// comparison sort cost ~60ns/pair here, an order of magnitude more than
-// counting passes over a 2048-record window. Radix is stable and the
-// window is filled in slot order, so equal keys keep ascending slots:
-// the exact order a full-word comparison sort of key<<32|slot produces.
-// Passes whose digit is constant across the window (the common case for
-// the top digits of small images) skip their scatter. tmp is caller
-// scratch of the same length.
-func schedSort(s, tmp []uint64) {
-	const rbits, rsize = 11, 1 << 11
-	src, dst := s, tmp
-	for shift := uint(32); shift < 64; shift += rbits {
-		var cnt [rsize]int32
-		for _, v := range src {
-			cnt[(v>>shift)&(rsize-1)]++
-		}
-		if cnt[(src[0]>>shift)&(rsize-1)] == int32(len(src)) {
-			continue
-		}
-		pos := int32(0)
-		for d := 0; d < rsize; d++ {
-			c := cnt[d]
-			cnt[d] = pos
-			pos += c
-		}
-		for _, v := range src {
-			d := (v >> shift) & (rsize - 1)
-			dst[cnt[d]] = v
-			cnt[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
-}
-
-// touchPair pulls the pair's entry-table cache lines (its entryKey and
-// portalOff run heads) without answering it. The answer loops call it
-// two pairs ahead of the one they answer, so the next queries' first
-// misses resolve while the current query computes; the returned sum
-// only exists to keep the loads live (see runtime.KeepAlive in
-// answerRange).
-//
-//pathsep:hotpath
-func (f *Flat) touchPair(p Pair) int64 {
-	if p.U < 0 || p.V < 0 || int(p.U) >= f.n || int(p.V) >= f.n {
-		return 0
-	}
-	iu, iv := f.entryOff[p.U], f.entryOff[p.V]
-	t := int64(f.portalOff[iu]) + int64(f.portalOff[iv])
-	if int(iu) < len(f.entryKey) {
-		t += int64(f.entryKey[iu])
-	}
-	if int(iv) < len(f.entryKey) {
-		t += int64(f.entryKey[iv])
-	}
-	return t
-}
-
-// answerRange answers pairs[lo:hi] into out[lo:hi], visiting each
-// schedWindow-sized window in locality order (see schedKey). The scratch
-// holding the packed (key, slot) records lives on the stack, so the warm
-// path allocates nothing; results are written to their original slots,
-// so output order and determinism are unaffected by the schedule. Both
-// answer loops run two pairs ahead of themselves through touchPair, so
-// consecutive queries' entry-table misses overlap instead of chaining.
+// answerRange answers pairs[lo:hi] into out[lo:hi] in caller order.
 func (f *Flat) answerRange(pairs []Pair, out []float64, lo, hi int) {
-	touch := int64(0)
-	if hi-lo < schedMinPairs {
-		for i := lo; i < hi; i++ {
-			if i+2 < hi {
-				touch += f.touchPair(pairs[i+2])
-			}
-			out[i] = f.answer(int(pairs[i].U), int(pairs[i].V))
-		}
-		runtime.KeepAlive(touch)
-		return
+	for i := lo; i < hi; i++ {
+		out[i] = f.answer(int(pairs[i].U), int(pairs[i].V))
 	}
-	var sched, scratch [schedWindow]uint64
-	for wlo := lo; wlo < hi; wlo += schedWindow {
-		whi := wlo + schedWindow
-		if whi > hi {
-			whi = hi
-		}
-		s := sched[:whi-wlo]
-		for x := range s {
-			s[x] = f.schedKey(pairs[wlo+x])<<32 | uint64(uint32(x))
-		}
-		schedSort(s, scratch[:len(s)])
-		for x, rec := range s {
-			if x+2 < len(s) {
-				touch += f.touchPair(pairs[wlo+int(uint32(s[x+2]))])
-			}
-			i := wlo + int(uint32(rec))
-			out[i] = f.answer(int(pairs[i].U), int(pairs[i].V))
-		}
-	}
-	runtime.KeepAlive(touch)
 }
 
 // QueryBatch answers pairs[i] into out[i] for every i, fanning the work
 // out over runtime.GOMAXPROCS(0) workers. out is reused when it has
 // sufficient capacity and allocated otherwise; the (possibly re-sliced)
 // result is returned, so callers amortize to zero allocations by passing
-// the previous batch's slice back in. Each worker answers its chunk in
-// locality order (see answerRange) but writes every answer to the pair's
-// original slot, so results are identical to calling Query per pair (and
+// the previous batch's slice back in. Each worker answers its own chunk
+// of slots, so results are identical to calling Query per pair (and
 // therefore to Oracle.Query), for every worker count and every caller
 // ordering. With metrics attached, the batch records its throughput in
 // the "oracle.batch_qps" gauge; per-query histograms are not touched.
@@ -861,8 +596,7 @@ func (f *Flat) QueryBatchWorkers(pairs []Pair, out []float64, workers int) []flo
 	}
 	if workers == 1 {
 		// Serial fast path: no pool, no closure — keeps the reused-buffer
-		// contract at a true zero allocations per batch (answerRange's
-		// scheduling scratch is on the stack).
+		// contract at a true zero allocations per batch.
 		f.answerRange(pairs, out, 0, len(pairs))
 	} else {
 		pool := par.New(workers, nil)

@@ -183,13 +183,15 @@ func (f *Flat) Encode() []byte {
 // host with an 8-byte-aligned buffer the returned Flat aliases buf
 // directly — no per-label rebuilding, no slice-of-slices allocation —
 // so an oracle can serve straight from a mapped or fully read file; the
-// only per-decode work is offset validation and one linear pass deriving
-// the three sweep arrays (see Flat.derive). The caller must not mutate
-// buf afterwards. Misaligned buffers and big-endian hosts decode by
-// copying instead; the result is identical.
+// per-decode work is validation plus Flat.derive: one linear pass
+// building the sweep lane, and the walk layout on path-reporting
+// images. The caller must not mutate buf afterwards. Misaligned buffers
+// and big-endian hosts decode by copying instead; the result is
+// identical.
 //
-// All CSR offsets are validated before the Flat is returned, so a
-// malformed buffer yields an error, never a panicking Query.
+// All CSR offsets and record orders are validated before the Flat is
+// returned, so a malformed buffer yields an error, never a panicking
+// or silently wrong Query.
 func DecodeFlat(buf []byte) (*Flat, error) {
 	if len(buf) < flatHeader || buf[0] != flatMagic {
 		return nil, fmt.Errorf("oracle: flat: bad magic or truncated header")
@@ -314,7 +316,9 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 }
 
 // validate bounds-checks every CSR offset so the hot path can index
-// without guards.
+// without guards, and checks the record orders and value ranges the
+// merge and both sweeps assume, so a corrupt image is rejected instead
+// of served.
 func (f *Flat) validate() error {
 	if f.entryOff[0] != 0 || int(f.entryOff[f.n]) != len(f.entryKey) {
 		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")
@@ -337,18 +341,35 @@ func (f *Flat) validate() error {
 	}
 	// Element-level checks on the record sections, not just the CSR
 	// offsets that index them: an interned key must name a vertex of this
-	// graph, and portal records must be NaN-free — a NaN Pos or Dist
-	// would poison every min-fold the sweep lanes compute from them.
-	// +Inf stays legal: it is the unreachable sentinel some constructions
-	// store in Dist.
+	// graph, each vertex's entry keys must strictly increase (the merge
+	// join advances on that order), and each entry's portal records must
+	// be NaN-free, non-negative and strictly increasing in Pos (both
+	// sweeps consume runs in that order, and the sweep lane's suffix-mins
+	// are folded from these values). +Inf stays legal: it is the
+	// unreachable sentinel some constructions store in Dist.
 	for i := range f.keys {
 		if int(f.keys[i].Node) < 0 || int(f.keys[i].Node) >= f.n {
 			return fmt.Errorf("oracle: flat: key %d names out-of-range vertex %d", i, f.keys[i].Node)
 		}
 	}
-	for i := range f.portals {
-		if math.IsNaN(f.portals[i].Pos) || math.IsNaN(f.portals[i].Dist) {
-			return fmt.Errorf("oracle: flat: portal record %d contains NaN", i)
+	for v := 0; v < f.n; v++ {
+		for e := f.entryOff[v] + 1; e < f.entryOff[v+1]; e++ {
+			if f.entryKey[e] <= f.entryKey[e-1] {
+				return fmt.Errorf("oracle: flat: entry keys of vertex %d not strictly increasing", v)
+			}
+		}
+	}
+	for e := 0; e < len(f.entryKey); e++ {
+		prev := math.Inf(-1)
+		for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
+			p := f.portals[i]
+			if math.IsNaN(p.Pos) || math.IsNaN(p.Dist) || p.Pos < 0 || p.Dist < 0 {
+				return fmt.Errorf("oracle: flat: portal record %d is NaN or negative", i)
+			}
+			if p.Pos <= prev {
+				return fmt.Errorf("oracle: flat: portal positions of entry %d not strictly increasing", e)
+			}
+			prev = p.Pos
 		}
 	}
 	if f.hasPathData {

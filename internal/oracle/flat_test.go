@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -197,6 +198,86 @@ func TestQueryBatchReusedBufferAllocs(t *testing.T) {
 	}
 }
 
+// corruptFlatImages returns, keyed by the decode rule each breaks, one
+// corruption per element-level rule of validate, each applied to the
+// encoding of a path-reporting image with multi-entry labels and
+// multi-portal runs.
+func corruptFlatImages(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	_, o := buildSeeded(tb, 3, 24, CoverExact)
+	fl, err := o.Freeze()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc := fl.Encode()
+	s := flatLayout(fl.n, len(fl.keys), len(fl.entryKey), len(fl.portals))
+	if fl.hasPathData {
+		s = flatLayoutV2(fl.n, len(fl.keys), len(fl.entryKey), len(fl.portals), len(fl.pathVert)).flatSections
+	}
+	twoEntries, twoPortals := -1, -1
+	for v := 0; v < fl.n && twoEntries < 0; v++ {
+		if fl.entryOff[v+1]-fl.entryOff[v] >= 2 {
+			twoEntries = int(fl.entryOff[v])
+		}
+	}
+	for e := 0; e < len(fl.entryKey) && twoPortals < 0; e++ {
+		if fl.portalOff[e+1]-fl.portalOff[e] >= 2 {
+			twoPortals = int(fl.portalOff[e])
+		}
+	}
+	if twoEntries < 0 || twoPortals < 0 {
+		tb.Fatal("image has no vertex with two entries or no entry with two portals")
+	}
+	le := binary.LittleEndian
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), enc...)
+		f(b)
+		return b
+	}
+	portal := func(i int) int { return s.portals + 16*i }
+	return map[string][]byte{
+		"trailing byte": append(append([]byte(nil), enc...), 0xFF),
+		"NaN dist": mutate(func(b []byte) {
+			le.PutUint64(b[portal(0)+8:], math.Float64bits(math.NaN()))
+		}),
+		"-Inf dist": mutate(func(b []byte) {
+			le.PutUint64(b[portal(0)+8:], math.Float64bits(math.Inf(-1)))
+		}),
+		"negative pos": mutate(func(b []byte) {
+			le.PutUint64(b[portal(0):], math.Float64bits(-1))
+		}),
+		"repeated entry key": mutate(func(b []byte) {
+			copy(b[s.entryKey+4*(twoEntries+1):], b[s.entryKey+4*twoEntries:][:4])
+		}),
+		"repeated portal pos": mutate(func(b []byte) {
+			copy(b[portal(twoPortals+1):], b[portal(twoPortals):][:8])
+		}),
+	}
+}
+
+// TestDecodeRejectsCorruption pins the element-level decode rules, one
+// table case each: DecodeFlat must reject every corruption rather than
+// serve it, on the zero-copy and the copying path alike.
+func TestDecodeRejectsCorruption(t *testing.T) {
+	cases := corruptFlatImages(t)
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b := cases[name]
+		if _, err := DecodeFlat(b); err == nil {
+			t.Errorf("%s: corrupted image decoded without error", name)
+		}
+		shifted := make([]byte, len(b)+1)
+		copy(shifted[1:], b)
+		if _, err := DecodeFlat(shifted[1:]); err == nil {
+			t.Errorf("%s: corrupted image decoded without error on the copying path", name)
+		}
+	}
+}
+
 // FuzzFlatRoundTrip drives Freeze → Encode → DecodeFlat over seeded
 // random graphs and checks query equivalence against the pointer oracle
 // on sampled pairs (including self and out-of-range IDs).
@@ -256,6 +337,16 @@ func FuzzDecodeFlat(f *testing.F) {
 		f.Add(encV1[:len(encV1)-9])
 	}
 	o.hasPathData = true
+	// One seed per element-level decode rule, in a fixed order.
+	bad := corruptFlatImages(f)
+	names := make([]string, 0, len(bad))
+	for name := range bad {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(bad[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode from an aligned copy and a deliberately misaligned copy,

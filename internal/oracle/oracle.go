@@ -482,9 +482,9 @@ type portalHop struct {
 // normalizeLabel sorts entries by key, sorts portals by position, and
 // deduplicates portals at equal positions keeping the smaller distance.
 // Hops, when present, travel with their portals (ties broken by the
-// smaller hop so the result is schedule-independent); entries whose Hops
-// length does not match (legacy distance-only labels) take the
-// portal-only path.
+// smaller hop so the result does not depend on worker order); entries
+// whose Hops length does not match (legacy distance-only labels) take
+// the portal-only path.
 func normalizeLabel(l *Label) {
 	sort.Slice(l.Entries, func(i, j int) bool { return keyLess(l.Entries[i].Key, l.Entries[j].Key) })
 	// Merge duplicate keys (entries were appended per construction stage).

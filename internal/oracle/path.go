@@ -242,165 +242,40 @@ func (o *Oracle) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	return est, joinSegments(out, mark), nil
 }
 
-// queryArg is query plus the argmin: the key ID and the two portal-pool
-// indices whose combination achieved the minimum. The hot sweep is
-// query's, verbatim — same blocked lanes, same galloping key merge —
-// with one change: each matched key folds into a key-local minimum
-// first, and only the winning entry pair is remembered — per-portal
-// argmin bookkeeping would cost ~30% in register pressure, so it runs
-// once afterwards, replaying just the winning pair's sweep (argminPair).
-// Min is associative and every fold uses strict <, so both the distance
-// and the chosen candidate are bit-identical to the single-pass fold,
-// and therefore to Query.
+// queryArg is queryLabelsArg over the flat image: the same int32 key
+// merge as query, calling pairMinArg on each matched pair's stored
+// portal runs, and returning the key ID and the two portal-pool indices
+// whose combination achieved the minimum. Keys are visited in keyLess
+// order and every fold is pairMinArg's, so the distance and the chosen
+// portal pair equal Oracle.QueryPath's by construction; the distance
+// also equals query's bit for bit (pairMin and sweepRec evaluate the
+// same candidates). A finite minimum always names real indices on
+// both sides: Dist and Pos are never negative (Build measures them, and
+// validate rejects decoded images otherwise), so a candidate without a
+// partner is +Inf and never wins.
 func (f *Flat) queryArg(u, v int) (float64, int32, int32, int32) {
 	best := math.Inf(1)
-	winI, winJ := -1, -1
-	ek, po, ln := f.entryKey, f.portalOff, f.lane
+	kid, bpa, bpb := int32(-1), int32(-1), int32(-1)
+	ek, po, ps := f.entryKey, f.portalOff, f.portals
 	i, iEnd := int(f.entryOff[u]), int(f.entryOff[u+1])
 	j, jEnd := int(f.entryOff[v]), int(f.entryOff[v+1])
-	gallop := (iEnd-i) >= gallopSkew*(jEnd-j) || (jEnd-j) >= gallopSkew*(iEnd-i)
-	var mA, mB [matchBuf]int32
-	touch := 0.0
-	nm := 0
 	for i < iEnd && j < jEnd {
 		a, b := ek[i], ek[j]
 		switch {
 		case a == b:
-			if nm == matchBuf {
-				best, winI, winJ = f.sweepMatchesArg(mA[:nm], mB[:nm], best, winI, winJ)
-				nm = 0
-			}
-			mA[nm], mB[nm] = int32(i), int32(j)
-			nm++
-			if x := 3 * int(po[i]); x < len(ln) {
-				touch += ln[x]
-			}
-			if x := 3 * int(po[j]); x < len(ln) {
-				touch += ln[x]
+			ia, ib := po[i], po[j]
+			if est, x, y := pairMinArg(ps[ia:po[i+1]], ps[ib:po[j+1]]); est < best {
+				best, kid, bpa, bpb = est, a, ia+int32(x), ib+int32(y)
 			}
 			i++
 			j++
 		case a < b:
-			if i++; gallop && i < iEnd && ek[i] < b {
-				i = gallopTo(ek, i, iEnd, b)
-			}
+			i++
 		default:
-			if j++; gallop && j < jEnd && ek[j] < a {
-				j = gallopTo(ek, j, jEnd, a)
-			}
+			j++
 		}
 	}
-	best, winI, winJ = f.sweepMatchesArg(mA[:nm], mB[:nm], best, winI, winJ)
-	if touch < 0 {
-		// Unreachable (positions are non-negative); keeps the touch loads
-		// live, as in query.
-		winI = -1
-	}
-	if winI < 0 {
-		return best, -1, -1, -1
-	}
-	bpa, bpb := f.argminPair(int32(winI), int32(winJ), best)
-	return best, ek[winI], bpa, bpb
-}
-
-// sweepMatchesArg is queryArg's flush of the collected matched pairs:
-// sweepMatches with the per-key argmin kept — each pair folds into a
-// key-local minimum first, so the winning entry pair is known without
-// per-portal bookkeeping in the hot loop (see queryArg). Tracking the
-// winning portal pair here directly (rather than replaying it after)
-// does not work: portal distances are affine in path position along
-// shortest-path segments, so distinct portal pairs routinely share the
-// exact candidate bits, and the reported witness must break those ties
-// in the pointer sweep's merge order — argminPair's job.
-func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (float64, int, int) {
-	po, ln := f.portalOff, f.lane
-	for t := 0; t < len(mA) && t < len(mB); t++ {
-		mi, mj := int(mA[t]), int(mB[t])
-		ia0, ka := int(po[mi]), int(po[mi+1]-po[mi])
-		ib0, kb := int(po[mj]), int(po[mj+1]-po[mj])
-		kA, kB := 3*ka, 3*kb
-		kbest := sweepRec(ln[3*ia0:3*ia0+kA], ln[3*ib0:3*ib0+kB], kA, kB, math.Inf(1))
-		if kbest < best {
-			best = kbest
-			winI, winJ = mi, mj
-		}
-	}
-	return best, winI, winJ
-}
-
-// argminPair resolves the portal pair of one matched entry pair's known
-// minimum: the pool indices of the first candidate in the pointer
-// sweep's classic merge order achieving target — the same candidate
-// pairMinArg's strict-< updates pick. It replays that merge over the
-// winning pair's lanes (positions and diffs from the records,
-// fl(Dist+Pos) from laneSum), checking each candidate against target's
-// bits and returning at the first hit: target IS this pair's minimum,
-// so the first candidate equal to it is exactly the strict-< fold's
-// argmin. Float add is commutative, so fl(sum + diff) here carries the
-// same bits as the suffix-min fold's fl(diff + sum) — the two sweeps
-// agree on every candidate's value, only the fold grouping differs.
-func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
-	po, ln, ls := f.portalOff, f.lane, f.laneSum
-	tbits := math.Float64bits(target)
-	ia0, ka := int(po[e1]), int(po[e1+1]-po[e1])
-	ib0, kb := int(po[e2]), int(po[e2+1]-po[e2])
-	if ka == 0 || kb == 0 {
-		return -1, -1
-	}
-	// Touch the winning runs' walkFrom lines before the replay: the
-	// chosen portals' chain-start records are read right after this
-	// returns, and the replay's run time hides their misses. startRecs
-	// are 16 bytes, so stride 4 covers every line once.
-	wt := int32(0)
-	if wf := f.walkFrom; len(wf) >= ia0+ka && len(wf) >= ib0+kb {
-		for x := ia0; x < ia0+ka; x += 4 {
-			wt |= wf[x].slot
-		}
-		for x := ib0; x < ib0+kb; x += 4 {
-			wt |= wf[x].slot
-		}
-	}
-	if wt < -1<<30 {
-		// Unreachable (slots are -1 or small indices); keeps the touch
-		// loads live.
-		return -1, -1
-	}
-	if ka == 1 && kb == 1 {
-		// One candidate pair, and target is this pair's minimum — it is
-		// that candidate.
-		return int32(ia0), int32(ib0)
-	}
-	recA := ln[3*ia0 : 3*ia0+3*ka]
-	recB := ln[3*ib0 : 3*ib0+3*kb]
-	sumA := ls[ia0 : ia0+ka]
-	sumB := ls[ib0 : ib0+kb]
-	minA, minB := math.Inf(1), math.Inf(1)
-	minAi, minBi := -1, -1
-	a, b := 0, 0
-	for a < ka || b < kb {
-		if b >= kb || (a < ka && recA[3*a] <= recB[3*b]) {
-			// A finite target never matches sum + Inf, so a hit implies
-			// minBi (resp. minAi below) is a real index.
-			if math.Float64bits(sumA[a]+minB) == tbits {
-				return int32(ia0 + a), int32(ib0 + minBi)
-			}
-			if v := recA[3*a+1]; v < minA {
-				minA = v
-				minAi = a
-			}
-			a++
-		} else {
-			if math.Float64bits(sumB[b]+minA) == tbits {
-				return int32(ia0 + minAi), int32(ib0 + b)
-			}
-			if v := recB[3*b+1]; v < minB {
-				minB = v
-				minBi = b
-			}
-			b++
-		}
-	}
-	return -1, -1
+	return best, kid, bpa, bpb
 }
 
 // QueryPath returns the same (1+ε)-approximate distance as Query

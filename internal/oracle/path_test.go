@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -118,60 +117,5 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	// Distance service is unharmed either way.
 	if math.Float64bits(dv1.Query(0, 1)) != math.Float64bits(fl.Query(0, 1)) {
 		t.Fatal("v1 image distance disagrees with v2 image")
-	}
-}
-
-// TestOracleEncodePathsRoundTrip pins the 0x9D pointer wire format:
-// Decode(Encode(o)) re-encodes byte-identically and answers path queries
-// exactly like the original.
-func TestOracleEncodePathsRoundTrip(t *testing.T) {
-	o, _ := buildPathImage(t)
-	enc := o.Encode()
-	if enc[0] != oracleMagicPaths {
-		t.Fatalf("path-reporting oracle encoded with magic %#x", enc[0])
-	}
-	o2, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o2.PathReporting() {
-		t.Fatal("decoded oracle lost path data")
-	}
-	enc2 := o2.Encode()
-	if len(enc) != len(enc2) {
-		t.Fatalf("re-encode length %d, want %d", len(enc2), len(enc))
-	}
-	for i := range enc {
-		if enc[i] != enc2[i] {
-			t.Fatalf("re-encode differs at byte %d", i)
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	var buf, buf2 []int32
-	for q := 0; q < 100; q++ {
-		u, v := rng.Intn(o.N), rng.Intn(o.N)
-		var d, d2 float64
-		d, buf, err = o.QueryPath(u, v, buf[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, buf2, err = o2.QueryPath(u, v, buf2[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(d) != math.Float64bits(d2) || len(buf) != len(buf2) {
-			t.Fatalf("(%d,%d): decoded oracle path disagrees", u, v)
-		}
-		for i := range buf {
-			if buf[i] != buf2[i] {
-				t.Fatalf("(%d,%d): decoded path differs at %d", u, v, i)
-			}
-		}
-	}
-
-	// A truncated paths-image and a hop pointing past n must both be
-	// rejected by the pointer decoder.
-	if _, err := Decode(enc[:len(enc)-3]); err == nil {
-		t.Fatal("truncated paths oracle decoded without error")
 	}
 }

@@ -27,13 +27,10 @@ type ImageStatus struct {
 	NumPortals int     `json:"num_portals"`
 	Bytes      int     `json:"bytes"`
 	// PortalPoolBytes is the wire-format portal pool (16 B AoS records);
-	// SweepLaneBytes is the derived query-time lane pool the merge sweep
-	// actually walks, and LaneAligned reports whether that pool starts on
-	// a 64-byte cache-line boundary (the layout Freeze/DecodeFlat aim
-	// for; false only under exotic allocator behavior).
-	PortalPoolBytes int  `json:"portal_pool_bytes"`
-	SweepLaneBytes  int  `json:"sweep_lane_bytes"`
-	LaneAligned     bool `json:"lane_aligned"`
+	// SweepLaneBytes is the derived query-time lane the distance sweep
+	// actually walks (24 B per portal).
+	PortalPoolBytes int `json:"portal_pool_bytes"`
+	SweepLaneBytes  int `json:"sweep_lane_bytes"`
 	// PathReporting reports whether the image answers /query/path (wire
 	// format v2); distance-only v1 images serve distances only.
 	PathReporting bool `json:"path_reporting"`
@@ -107,7 +104,6 @@ func (s *Server) status() Status {
 			Bytes:           im.bytes,
 			PortalPoolBytes: 16 * im.flat.NumPortals(),
 			SweepLaneBytes:  im.flat.LaneBytes(),
-			LaneAligned:     im.flat.LaneAligned(),
 			PathReporting:   im.flat.PathReporting(),
 		},
 		Serving: ServingStatus{

@@ -246,12 +246,9 @@ func TestAdminStatus(t *testing.T) {
 	if st.Image.PathReporting != fl.PathReporting() {
 		t.Fatalf("path_reporting = %v, image says %v", st.Image.PathReporting, fl.PathReporting())
 	}
-	if st.Image.PortalPoolBytes != 16*fl.NumPortals() || st.Image.SweepLaneBytes != fl.LaneBytes() {
-		t.Fatalf("pool sizing wrong: %+v (want portal pool %d, lanes %d)",
-			st.Image, 16*fl.NumPortals(), fl.LaneBytes())
-	}
-	if st.Image.LaneAligned != fl.LaneAligned() {
-		t.Fatalf("lane_aligned = %v, image says %v", st.Image.LaneAligned, fl.LaneAligned())
+	if st.Image.PortalPoolBytes != 16*fl.NumPortals() || st.Image.SweepLaneBytes != 24*fl.NumPortals() {
+		t.Fatalf("pool sizing wrong: %+v (want portal pool %d, lane %d)",
+			st.Image, 16*fl.NumPortals(), 24*fl.NumPortals())
 	}
 	if st.Serving.Queries != 5 {
 		t.Fatalf("queries = %d, want 5", st.Serving.Queries)

@@ -68,7 +68,7 @@ func parallelFamilies(t *testing.T) map[string]struct {
 // TestParallelBuildDifferential is the determinism contract: for three
 // graph families and both oracle modes, workers=1 (the serial reference)
 // and workers>1 must produce identical decomposition shapes and
-// byte-identical encoded oracles.
+// byte-identical flat images.
 func TestParallelBuildDifferential(t *testing.T) {
 	for name, fam := range parallelFamilies(t) {
 		for _, mode := range []oracle.Mode{oracle.CoverExact, oracle.CoverPortal} {
@@ -89,7 +89,15 @@ func TestParallelBuildDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: build: %v", name, modeName, workers, err)
 				}
-				enc := o.Encode()
+				fz, err := o.Freeze()
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: freeze: %v", name, modeName, workers, err)
+				}
+				if fz.PathReporting() != o.PathReporting() {
+					t.Fatalf("%s/%s workers=%d: image path reporting %v, oracle %v",
+						name, modeName, workers, fz.PathReporting(), o.PathReporting())
+				}
+				enc := fz.Encode()
 				if workers == 1 {
 					refEnc, refDec = enc, dec
 					continue
