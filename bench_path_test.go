@@ -2,7 +2,7 @@
 //
 // BenchmarkQueryPathFlat times Flat.QueryPath over the shared 64x64 grid
 // CoverPortal fixture with a reused vertex buffer — the steady-state
-// serving shape. BenchmarkQueryPathBatch times the batched form.
+// serving shape.
 //
 // TestPathServingGate (run with BENCH_PATH_GATE=1, wired into make check
 // via the bench-path target) is the CI gate: with reused caller buffers a
@@ -32,25 +32,11 @@ func BenchmarkQueryPathFlat(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryPathBatch(b *testing.B) {
-	fx := newQueryFixture(b)
-	var dists []float64
-	var verts []int32
-	var offs []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dists, verts, offs, _ = fx.fl.QueryPathBatch(fx.pairs, dists, verts, offs)
-	}
-}
-
 func TestPathServingGate(t *testing.T) {
 	if os.Getenv("BENCH_PATH_GATE") != "1" {
 		t.Skip("set BENCH_PATH_GATE=1 to run the path serving gate")
 	}
 	fx := newQueryFixture(t)
-	if !fx.fl.PathReporting() {
-		t.Fatal("fixture image is distance-only; path gate needs path records")
-	}
 
 	perOp := func(f func(p oracle.Pair)) float64 {
 		res := testing.Benchmark(func(b *testing.B) {

@@ -40,15 +40,14 @@ type Flat struct {
 	portalOff []int32  // len numEntries+1: CSR offsets into portals
 	portals   []Portal // one contiguous pool, grouped by entry
 
-	// Path-reporting sections (wire v2; see path.go and flat_encode.go).
-	// hops[i] is the portal-pool index of the next record on pool record
-	// i's hop chain, or -1 at the chain's anchor; pathOff/pathVert/
-	// pathPos are the per-key separator-path geometry in CSR form.
-	hops        []int32
-	pathOff     []int32
-	pathVert    []int32
-	pathPos     []float64
-	hasPathData bool
+	// Path-reporting sections (see path.go and flat_encode.go). hops[i]
+	// is the portal-pool index of the next record on pool record i's hop
+	// chain, or -1 at the chain's anchor; pathOff/pathVert/pathPos are
+	// the per-key separator-path geometry in CSR form.
+	hops     []int32
+	pathOff  []int32
+	pathVert []int32
+	pathPos  []float64
 
 	// Derived view of the pool (see derive): the sweep lane. Entry e's
 	// portal run [portalOff[e], portalOff[e+1)) of k records occupies
@@ -65,20 +64,20 @@ type Flat struct {
 	// exhausted the remainder has no partners left and is never touched.
 	// The lane is not part of the encoding; it is rebuilt on decode.
 	lane []float64
-	// Derived walk layout (deriveWalk; path-bearing images only): the hop
-	// forest re-laid-out in heavy-chain order, each chain one contiguous
-	// block in walkBlk — its records' owning vertices child-to-parent,
-	// then a two-word trailer [jumpSlot, jumpEnd] naming the segment the
-	// chain head hops into (jumpSlot -1 at an anchor head). A walk is a
-	// handful of bulk copies: memmove the owner run, read the trailer off
-	// the cache lines the copy just touched, jump. Light edges are the
-	// only jumps and a walk crosses O(log P) of them. walkFrom maps a
-	// pool record to its first segment (slot, run end) plus its chain's
-	// final anchor index into the key's path-geometry span — one load
-	// hands QueryPath both walk entries and both anchors before either
-	// walk runs, so the middle segment is emitted in final order between
-	// the two chains. Records a corrupt image left unreachable from any
-	// anchor carry slot -1; anchor -1 marks unresolvable geometry.
+	// Derived walk layout (deriveWalk): the hop forest re-laid-out in
+	// heavy-chain order, each chain one contiguous block in walkBlk — its
+	// records' owning vertices child-to-parent, then a two-word trailer
+	// [jumpSlot, jumpEnd] naming the segment the chain head hops into
+	// (jumpSlot -1 at an anchor head). A walk is a handful of bulk
+	// copies: memmove the owner run, read the trailer off the cache lines
+	// the copy just touched, jump. Light edges are the only jumps and a
+	// walk crosses O(log P) of them. walkFrom maps a pool record to its
+	// first segment (slot, run end) plus its chain's final anchor index
+	// into the key's path-geometry span — one load hands QueryPath both
+	// walk entries and both anchors before either walk runs, so the
+	// middle segment is emitted in final order between the two chains.
+	// Records a corrupt image left unreachable from any anchor carry
+	// slot -1; anchor -1 marks unresolvable geometry.
 	walkBlk  []int32
 	walkFrom []startRec
 
@@ -99,8 +98,9 @@ type Flat struct {
 }
 
 // Freeze compiles the oracle into its flat serving form. The oracle itself
-// is not modified or retained. Freeze fails only when the oracle exceeds
-// the int32 CSR index space (more than ~2·10⁹ entries or portals).
+// is not modified or retained. Freeze fails when the oracle exceeds the
+// int32 CSR index space (more than ~2·10⁹ entries or portals) or its path
+// records are inconsistent (see freezePaths).
 func (o *Oracle) Freeze() (*Flat, error) {
 	// Intern keys: collect the distinct Key set and rank it by keyLess, so
 	// ID order coincides with the order the pointer merge-join visits keys.
@@ -143,8 +143,8 @@ func (o *Oracle) Freeze() (*Flat, error) {
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
-	if o.hasPathData {
-		f.freezePaths(o)
+	if err := f.freezePaths(o); err != nil {
+		return nil, err
 	}
 	f.derive()
 	return f, nil
@@ -176,9 +176,7 @@ func (f *Flat) derive() {
 			f.lane[base+3*x+2] = sm
 		}
 	}
-	if f.hasPathData {
-		f.deriveWalk()
-	}
+	f.deriveWalk()
 }
 
 // startRec is the per-pool-record walk entry: the record's slot and its

@@ -5,45 +5,39 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"pathsep/internal/core"
 )
 
 // Flat binary format (little-endian throughout, all sections 4- or
 // 8-byte aligned relative to the buffer start):
 //
 //	[0]   magic 0xA7
-//	[1]   version 1
+//	[1]   version 2
 //	[2:8] reserved (zero)
-//	[8]   n          uint64
-//	[16]  eps        float64 bits
-//	[24]  mode       uint64
-//	[32]  numKeys    uint64
-//	[40]  numEntries uint64
-//	[48]  numPortals uint64
-//	[56]  keys       numKeys × 8B   (node int32 | phase int16 | path int16)
+//	[8]   n            uint64
+//	[16]  eps          float64 bits
+//	[24]  mode         uint64
+//	[32]  numKeys      uint64
+//	[40]  numEntries   uint64
+//	[48]  numPortals   uint64
+//	[56]  numPathVerts uint64
+//	[64]  keys       numKeys × 8B   (node int32 | phase int16 | path int16)
 //	      entryOff   (n+1) × 4B     int32
 //	      entryKey   numEntries × 4B int32
 //	      portalOff  (numEntries+1) × 4B int32
 //	      pad to 8B
 //	      portals    numPortals × 16B (pos float64 | dist float64)
-//
-// Version 2 (path-reporting images) grows the header by one count and
-// appends the hop links and separator-path geometry after the portal
-// pool; everything up to and including the portals keeps the v1 layout
-// shifted by the 8 extra header bytes:
-//
-//	[1]   version 2
-//	[56]  numPathVerts uint64
-//	[64]  keys … portals   as in v1
-//	      hops      numPortals × 4B int32 (pool index of the next chain
-//	                record, -1 at the anchor)
-//	      pathOff   (numKeys+1) × 4B int32
-//	      pathVert  numPathVerts × 4B int32
+//	      hops       numPortals × 4B int32 (pool index of the next chain
+//	                 record, -1 at the anchor)
+//	      pathOff    (numKeys+1) × 4B int32
+//	      pathVert   numPathVerts × 4B int32
 //	      pad to 8B
-//	      pathPos   numPathVerts × 8B float64
+//	      pathPos    numPathVerts × 8B float64
 //
-// Distance-only images keep encoding as v1, so Encode∘DecodeFlat is a
-// fixed point in both directions and old readers reject v2 loudly by
-// version byte.
+// Every image carries the hop links and separator-path geometry, so
+// every image answers path queries; DecodeFlat rejects any other version
+// byte.
 //
 // The field order and widths match the in-memory layout of Key and Portal
 // on a little-endian host, so DecodeFlat can alias the sections straight
@@ -51,11 +45,9 @@ import (
 // otherwise — or on a big-endian host — it falls back to a copying decode
 // that reads the same bytes portably.
 const (
-	flatMagic    = 0xA7
-	flatVersion  = 1
-	flatVersion2 = 2
-	flatHeader   = 56
-	flatHeaderV2 = 64
+	flatMagic   = 0xA7
+	flatVersion = 2
+	flatHeader  = 64
 )
 
 // hostLittleEndian reports whether this machine stores multi-byte values
@@ -65,34 +57,17 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// flatSections computes the byte offsets of each section for the given
-// element counts. The returned total is the exact encoded size.
+// flatSections holds the byte offset of each section for the given
+// element counts. The total is the exact encoded size.
 type flatSections struct {
 	keys, entryOff, entryKey, portalOff, portals int
+	hops, pathOff, pathVert, pathPos             int
 	total                                        int
 }
 
-func flatLayout(n, numKeys, numEntries, numPortals int) flatSections {
+func flatLayout(n, numKeys, numEntries, numPortals, numPathVerts int) flatSections {
 	var s flatSections
 	s.keys = flatHeader
-	s.entryOff = s.keys + 8*numKeys
-	s.entryKey = s.entryOff + 4*(n+1)
-	s.portalOff = s.entryKey + 4*numEntries
-	end := s.portalOff + 4*(numEntries+1)
-	s.portals = (end + 7) &^ 7 // align the float64 pool
-	s.total = s.portals + 16*numPortals
-	return s
-}
-
-// flatSectionsV2 extends flatSections with the v2 path sections.
-type flatSectionsV2 struct {
-	flatSections
-	hops, pathOff, pathVert, pathPos int
-}
-
-func flatLayoutV2(n, numKeys, numEntries, numPortals, numPathVerts int) flatSectionsV2 {
-	var s flatSectionsV2
-	s.keys = flatHeaderV2
 	s.entryOff = s.keys + 8*numKeys
 	s.entryKey = s.entryOff + 4*(n+1)
 	s.portalOff = s.entryKey + 4*numEntries
@@ -107,27 +82,19 @@ func flatLayoutV2(n, numKeys, numEntries, numPortals, numPathVerts int) flatSect
 	return s
 }
 
-// EncodedSize returns the exact byte length of Encode's output.
-func (f *Flat) EncodedSize() int {
-	if f.hasPathData {
-		return flatLayoutV2(f.n, len(f.keys), len(f.entryKey), len(f.portals), len(f.pathVert)).total
-	}
-	return flatLayout(f.n, len(f.keys), len(f.entryKey), len(f.portals)).total
+// layout returns the section offsets of f's encoding.
+func (f *Flat) layout() flatSections {
+	return flatLayout(f.n, len(f.keys), len(f.entryKey), len(f.portals), len(f.pathVert))
 }
 
-// Encode serializes the flat oracle (as v2 when it carries path data,
-// v1 otherwise). The output is 8-byte aligned by construction (Go
-// allocations of this size always are), so decoding it back on a
-// little-endian host takes the zero-copy path.
+// EncodedSize returns the exact byte length of Encode's output.
+func (f *Flat) EncodedSize() int { return f.layout().total }
+
+// Encode serializes the flat oracle. The output is 8-byte aligned by
+// construction (Go allocations of this size always are), so decoding it
+// back on a little-endian host takes the zero-copy path.
 func (f *Flat) Encode() []byte {
-	var s flatSections
-	var s2 flatSectionsV2
-	if f.hasPathData {
-		s2 = flatLayoutV2(f.n, len(f.keys), len(f.entryKey), len(f.portals), len(f.pathVert))
-		s = s2.flatSections
-	} else {
-		s = flatLayout(f.n, len(f.keys), len(f.entryKey), len(f.portals))
-	}
+	s := f.layout()
 	buf := make([]byte, s.total)
 	buf[0] = flatMagic
 	buf[1] = flatVersion
@@ -138,10 +105,7 @@ func (f *Flat) Encode() []byte {
 	le.PutUint64(buf[32:], uint64(len(f.keys)))
 	le.PutUint64(buf[40:], uint64(len(f.entryKey)))
 	le.PutUint64(buf[48:], uint64(len(f.portals)))
-	if f.hasPathData {
-		buf[1] = flatVersion2
-		le.PutUint64(buf[56:], uint64(len(f.pathVert)))
-	}
+	le.PutUint64(buf[56:], uint64(len(f.pathVert)))
 	for i, k := range f.keys {
 		at := s.keys + 8*i
 		le.PutUint32(buf[at:], uint32(k.Node))
@@ -162,19 +126,17 @@ func (f *Flat) Encode() []byte {
 		le.PutUint64(buf[at:], math.Float64bits(p.Pos))
 		le.PutUint64(buf[at+8:], math.Float64bits(p.Dist))
 	}
-	if f.hasPathData {
-		for i, v := range f.hops {
-			le.PutUint32(buf[s2.hops+4*i:], uint32(v))
-		}
-		for i, v := range f.pathOff {
-			le.PutUint32(buf[s2.pathOff+4*i:], uint32(v))
-		}
-		for i, v := range f.pathVert {
-			le.PutUint32(buf[s2.pathVert+4*i:], uint32(v))
-		}
-		for i, x := range f.pathPos {
-			le.PutUint64(buf[s2.pathPos+8*i:], math.Float64bits(x))
-		}
+	for i, v := range f.hops {
+		le.PutUint32(buf[s.hops+4*i:], uint32(v))
+	}
+	for i, v := range f.pathOff {
+		le.PutUint32(buf[s.pathOff+4*i:], uint32(v))
+	}
+	for i, v := range f.pathVert {
+		le.PutUint32(buf[s.pathVert+4*i:], uint32(v))
+	}
+	for i, x := range f.pathPos {
+		le.PutUint64(buf[s.pathPos+8*i:], math.Float64bits(x))
 	}
 	return buf
 }
@@ -184,10 +146,9 @@ func (f *Flat) Encode() []byte {
 // directly — no per-label rebuilding, no slice-of-slices allocation —
 // so an oracle can serve straight from a mapped or fully read file; the
 // per-decode work is validation plus Flat.derive: one linear pass
-// building the sweep lane, and the walk layout on path-reporting
-// images. The caller must not mutate buf afterwards. Misaligned buffers
-// and big-endian hosts decode by copying instead; the result is
-// identical.
+// building the sweep lane, and the walk layout. The caller must not
+// mutate buf afterwards. Misaligned buffers and big-endian hosts decode
+// by copying instead; the result is identical.
 //
 // All CSR offsets and record orders are validated before the Flat is
 // returned, so a malformed buffer yields an error, never a panicking
@@ -196,15 +157,7 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if len(buf) < flatHeader || buf[0] != flatMagic {
 		return nil, fmt.Errorf("oracle: flat: bad magic or truncated header")
 	}
-	withPaths := false
-	switch buf[1] {
-	case flatVersion:
-	case flatVersion2:
-		withPaths = true
-		if len(buf) < flatHeaderV2 {
-			return nil, fmt.Errorf("oracle: flat: truncated v2 header")
-		}
-	default:
+	if buf[1] != flatVersion {
 		return nil, fmt.Errorf("oracle: flat: unsupported version %d", buf[1])
 	}
 	le := binary.LittleEndian
@@ -214,28 +167,18 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	numKeys := le.Uint64(buf[32:])
 	numEntries := le.Uint64(buf[40:])
 	numPortals := le.Uint64(buf[48:])
-	numPathVerts := uint64(0)
-	if withPaths {
-		numPathVerts = le.Uint64(buf[56:])
-	}
+	numPathVerts := le.Uint64(buf[56:])
 	const maxCount = math.MaxInt32
 	if n > maxCount || numKeys > maxCount || numEntries >= maxCount || numPortals > maxCount || numPathVerts > maxCount {
 		return nil, fmt.Errorf("oracle: flat: header counts out of range (n=%d keys=%d entries=%d portals=%d pathverts=%d)",
 			n, numKeys, numEntries, numPortals, numPathVerts)
 	}
-	var s flatSections
-	var s2 flatSectionsV2
-	if withPaths {
-		s2 = flatLayoutV2(int(n), int(numKeys), int(numEntries), int(numPortals), int(numPathVerts))
-		s = s2.flatSections
-	} else {
-		s = flatLayout(int(n), int(numKeys), int(numEntries), int(numPortals))
-	}
+	s := flatLayout(int(n), int(numKeys), int(numEntries), int(numPortals), int(numPathVerts))
 	if len(buf) != s.total {
 		return nil, fmt.Errorf("oracle: flat: size %d does not match header (want %d)", len(buf), s.total)
 	}
 
-	f := &Flat{n: int(n), eps: eps, mode: Mode(mode), hasPathData: withPaths}
+	f := &Flat{n: int(n), eps: eps, mode: Mode(mode)}
 	if hostLittleEndian && uintptr(unsafe.Pointer(&buf[0]))%8 == 0 {
 		f.buf = buf
 		if numKeys > 0 {
@@ -248,16 +191,12 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 		f.portalOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.portalOff])), numEntries+1)
 		if numPortals > 0 {
 			f.portals = unsafe.Slice((*Portal)(unsafe.Pointer(&buf[s.portals])), numPortals)
+			f.hops = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.hops])), numPortals)
 		}
-		if withPaths {
-			if numPortals > 0 {
-				f.hops = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.hops])), numPortals)
-			}
-			f.pathOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.pathOff])), numKeys+1)
-			if numPathVerts > 0 {
-				f.pathVert = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.pathVert])), numPathVerts)
-				f.pathPos = unsafe.Slice((*float64)(unsafe.Pointer(&buf[s2.pathPos])), numPathVerts)
-			}
+		f.pathOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.pathOff])), numKeys+1)
+		if numPathVerts > 0 {
+			f.pathVert = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.pathVert])), numPathVerts)
+			f.pathPos = unsafe.Slice((*float64)(unsafe.Pointer(&buf[s.pathPos])), numPathVerts)
 		}
 	} else {
 		f.keys = make([]Key, numKeys)
@@ -289,23 +228,21 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 				Dist: math.Float64frombits(le.Uint64(buf[at+8:])),
 			}
 		}
-		if withPaths {
-			f.hops = make([]int32, numPortals)
-			for i := range f.hops {
-				f.hops[i] = int32(le.Uint32(buf[s2.hops+4*i:]))
-			}
-			f.pathOff = make([]int32, numKeys+1)
-			for i := range f.pathOff {
-				f.pathOff[i] = int32(le.Uint32(buf[s2.pathOff+4*i:]))
-			}
-			f.pathVert = make([]int32, numPathVerts)
-			for i := range f.pathVert {
-				f.pathVert[i] = int32(le.Uint32(buf[s2.pathVert+4*i:]))
-			}
-			f.pathPos = make([]float64, numPathVerts)
-			for i := range f.pathPos {
-				f.pathPos[i] = math.Float64frombits(le.Uint64(buf[s2.pathPos+8*i:]))
-			}
+		f.hops = make([]int32, numPortals)
+		for i := range f.hops {
+			f.hops[i] = int32(le.Uint32(buf[s.hops+4*i:]))
+		}
+		f.pathOff = make([]int32, numKeys+1)
+		for i := range f.pathOff {
+			f.pathOff[i] = int32(le.Uint32(buf[s.pathOff+4*i:]))
+		}
+		f.pathVert = make([]int32, numPathVerts)
+		for i := range f.pathVert {
+			f.pathVert[i] = int32(le.Uint32(buf[s.pathVert+4*i:]))
+		}
+		f.pathPos = make([]float64, numPathVerts)
+		for i := range f.pathPos {
+			f.pathPos[i] = math.Float64frombits(le.Uint64(buf[s.pathPos+8*i:]))
 		}
 	}
 	if err := f.validate(); err != nil {
@@ -359,6 +296,7 @@ func (f *Flat) validate() error {
 			}
 		}
 	}
+	keyOf := make([]int32, len(f.portals))
 	for e := 0; e < len(f.entryKey); e++ {
 		prev := math.Inf(-1)
 		for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
@@ -370,24 +308,29 @@ func (f *Flat) validate() error {
 				return fmt.Errorf("oracle: flat: portal positions of entry %d not strictly increasing", e)
 			}
 			prev = p.Pos
+			keyOf[i] = f.entryKey[e]
 		}
 	}
-	if f.hasPathData {
-		return f.validatePaths()
-	}
-	return nil
+	return f.validatePaths(keyOf)
 }
 
-// validatePaths bounds-checks the v2 sections: hop links stay inside the
-// portal pool, the path geometry spans its CSR table, vertices are in
-// range, and positions are NaN-free and non-decreasing per path. The
-// walk itself still guards against semantic corruption (cycles, chains
+// validatePaths checks the path sections, given each pool record's key
+// ID in keyOf: hop links stay inside the portal pool and on their own
+// chain — the target record has the same key and the same position, the
+// predicate findRecord resolves hops with at freeze — the path geometry
+// spans its CSR table, vertices are in range, and positions are NaN-free
+// and non-decreasing per path. A hop into another key's run would hand
+// the walk an anchor index into the wrong key's geometry. The walk
+// itself still guards against semantic corruption (cycles, chains
 // landing off their path) with static errors — validation here is what
 // lets it index without bounds checks.
-func (f *Flat) validatePaths() error {
+func (f *Flat) validatePaths(keyOf []int32) error {
 	for i, h := range f.hops {
 		if h < -1 || int(h) >= len(f.portals) {
 			return fmt.Errorf("oracle: flat: hop %d links to out-of-range record %d", i, h)
+		}
+		if h >= 0 && (keyOf[h] != keyOf[i] || !core.SameDist(f.portals[h].Pos, f.portals[i].Pos)) {
+			return fmt.Errorf("oracle: flat: hop %d leaves its key or position (links to record %d)", i, h)
 		}
 	}
 	if f.pathOff[0] != 0 || int(f.pathOff[len(f.pathOff)-1]) != len(f.pathVert) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -210,10 +211,7 @@ func corruptFlatImages(tb testing.TB) map[string][]byte {
 		tb.Fatal(err)
 	}
 	enc := fl.Encode()
-	s := flatLayout(fl.n, len(fl.keys), len(fl.entryKey), len(fl.portals))
-	if fl.hasPathData {
-		s = flatLayoutV2(fl.n, len(fl.keys), len(fl.entryKey), len(fl.portals), len(fl.pathVert)).flatSections
-	}
+	s := fl.layout()
 	twoEntries, twoPortals := -1, -1
 	for v := 0; v < fl.n && twoEntries < 0; v++ {
 		if fl.entryOff[v+1]-fl.entryOff[v] >= 2 {
@@ -227,6 +225,26 @@ func corruptFlatImages(tb testing.TB) map[string][]byte {
 	}
 	if twoEntries < 0 || twoPortals < 0 {
 		tb.Fatal("image has no vertex with two entries or no entry with two portals")
+	}
+	// The (0,1) witness record and an anchor record of the other key with
+	// the longest geometry: a hop between them stays in the pool but
+	// leaves its key, so the walk would index the witness key's geometry
+	// with the other key's anchor (a wrong walk, or a slice past the
+	// span).
+	_, kid, witness, _ := fl.queryArg(0, 1)
+	farAnchor, farSpan := int32(-1), int32(-1)
+	for e, k := range fl.entryKey {
+		if span := fl.pathOff[k+1] - fl.pathOff[k]; k != kid && span > farSpan {
+			for i := fl.portalOff[e]; i < fl.portalOff[e+1]; i++ {
+				if fl.hops[i] < 0 {
+					farAnchor, farSpan = i, span
+					break
+				}
+			}
+		}
+	}
+	if witness < 0 || farAnchor < 0 {
+		tb.Fatal("image has no (0,1) witness or no anchor on another key")
 	}
 	le := binary.LittleEndian
 	mutate := func(f func(b []byte)) []byte {
@@ -251,6 +269,9 @@ func corruptFlatImages(tb testing.TB) map[string][]byte {
 		}),
 		"repeated portal pos": mutate(func(b []byte) {
 			copy(b[portal(twoPortals+1):], b[portal(twoPortals):][:8])
+		}),
+		"hop leaves its key": mutate(func(b []byte) {
+			le.PutUint32(b[s.hops+4*int(witness):], uint32(farAnchor))
 		}),
 	}
 }
@@ -326,17 +347,13 @@ func FuzzDecodeFlat(f *testing.F) {
 	enc := fl.Encode()
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
+	f.Add([]byte{flatMagic, 1})
 	f.Add([]byte{flatMagic, flatVersion})
-	f.Add([]byte{flatMagic, flatVersion2})
 	f.Add([]byte{})
-	// A distance-only v1 image of the same oracle seeds the legacy branch.
-	o.hasPathData = false
-	if flV1, err := o.Freeze(); err == nil {
-		encV1 := flV1.Encode()
-		f.Add(encV1)
-		f.Add(encV1[:len(encV1)-9])
-	}
-	o.hasPathData = true
+	// The same image under the retired version byte 1.
+	v1 := append([]byte(nil), enc...)
+	v1[1] = 1
+	f.Add(v1)
 	// One seed per element-level decode rule, in a fixed order.
 	bad := corruptFlatImages(f)
 	names := make([]string, 0, len(bad))
@@ -374,7 +391,6 @@ func FuzzDecodeFlat(f *testing.F) {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
 		}
 		n := fl.N()
-		var buf, buf2 []int32
 		for _, pair := range [][2]int{{0, 0}, {0, n - 1}, {-1, 3}, {n, n}} {
 			a := fl.Query(pair[0], pair[1])
 			for _, other := range []*Flat{flCopy, fl2} {
@@ -382,18 +398,23 @@ func FuzzDecodeFlat(f *testing.F) {
 					t.Fatalf("Query(%d,%d): %v vs %v", pair[0], pair[1], a, b)
 				}
 			}
-			// Path queries over decoded (possibly hostile) images may
-			// return errors but must never panic, and the zero-copy and
-			// copying decodes must behave identically.
-			ad, buf0, errA := fl.QueryPath(pair[0], pair[1], buf)
-			buf = buf0[:0]
-			bd, buf1, errB := flCopy.QueryPath(pair[0], pair[1], buf2)
-			buf2 = buf1[:0]
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("QueryPath(%d,%d): zero-copy err=%v, copying err=%v", pair[0], pair[1], errA, errB)
-			}
-			if errA == nil && math.Float64bits(ad) != math.Float64bits(bd) {
-				t.Fatalf("QueryPath(%d,%d): %v vs %v", pair[0], pair[1], ad, bd)
+		}
+		// Path queries over decoded (possibly hostile) images may return
+		// errors but must never panic, and the zero-copy and copying
+		// decodes must answer identically, on every ordered pair of the
+		// first few vertices.
+		var buf, buf2 []int32
+		for u := 0; u < min(n, 8); u++ {
+			for v := 0; v < min(n, 8); v++ {
+				ad, pa, errA := fl.QueryPath(u, v, buf)
+				bd, pb, errB := flCopy.QueryPath(u, v, buf2)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("QueryPath(%d,%d): zero-copy err=%v, copying err=%v", u, v, errA, errB)
+				}
+				if errA == nil && (math.Float64bits(ad) != math.Float64bits(bd) || !slices.Equal(pa, pb)) {
+					t.Fatalf("QueryPath(%d,%d): %v %v vs %v %v", u, v, ad, pa, bd, pb)
+				}
+				buf, buf2 = pa[:0], pb[:0]
 			}
 		}
 	})

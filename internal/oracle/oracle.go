@@ -107,11 +107,11 @@ type Portal struct {
 }
 
 // Entry is the portal list a vertex stores for one separator path,
-// sorted by position. Hops, when present, is parallel to Portals:
-// Hops[i] is the next vertex on a shortest walk from the labeled vertex
-// toward the path vertex Portals[i] points at, or -1 when the labeled
-// vertex is that path vertex itself. Path-reporting builds fill it; a
-// nil (or length-mismatched) Hops marks a distance-only legacy entry.
+// sorted by position. Hops is parallel to Portals: Hops[i] is the next
+// vertex on a shortest walk from the labeled vertex toward the path
+// vertex Portals[i] points at, or -1 when the labeled vertex is that
+// path vertex itself. Build fills it; the label codec (Label.Encode)
+// carries distances only, so a decoded label has nil Hops.
 type Entry struct {
 	Key     Key
 	Portals []Portal
@@ -151,12 +151,11 @@ type Oracle struct {
 	N      int
 	Eps    float64
 	mode   Mode
-	// paths, when hasPathData, holds every separator path sorted by
-	// keyLess; QueryPath reads the middle segment of a reported walk off
-	// it. pos aliases the planning pass's prefix sums, so positions match
-	// portal Pos values bit for bit.
-	paths       []sepPath
-	hasPathData bool
+	// paths holds every separator path sorted by keyLess; QueryPath reads
+	// the middle segment of a reported walk off it. pos aliases the
+	// planning pass's prefix sums, so positions match portal Pos values
+	// bit for bit.
+	paths []sepPath
 	// Query-time instruments, cached so the hot path costs one nil check
 	// when metrics are disabled. Set via SetMetrics / Options.Metrics.
 	qLatency *obs.Histogram
@@ -391,7 +390,6 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 		normalizeLabel(&o.Labels[v])
 	}
 	sort.Slice(o.paths, func(i, j int) bool { return keyLess(o.paths[i].key, o.paths[j].key) })
-	o.hasPathData = true
 	if m := opt.Metrics; m != nil {
 		labelHist := m.Histogram("oracle.label_portals")
 		for v := range o.Labels {
@@ -481,10 +479,8 @@ type portalHop struct {
 
 // normalizeLabel sorts entries by key, sorts portals by position, and
 // deduplicates portals at equal positions keeping the smaller distance.
-// Hops, when present, travel with their portals (ties broken by the
-// smaller hop so the result does not depend on worker order); entries
-// whose Hops length does not match (legacy distance-only labels) take
-// the portal-only path.
+// Hops travel with their portals (ties broken by the smaller hop so the
+// result does not depend on worker order).
 func normalizeLabel(l *Label) {
 	sort.Slice(l.Entries, func(i, j int) bool { return keyLess(l.Entries[i].Key, l.Entries[j].Key) })
 	// Merge duplicate keys (entries were appended per construction stage).
@@ -500,11 +496,6 @@ func normalizeLabel(l *Label) {
 	l.Entries = out
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		if len(e.Hops) != len(e.Portals) {
-			e.Hops = nil
-			normalizePortals(e)
-			continue
-		}
 		ph := make([]portalHop, len(e.Portals))
 		for x := range ph {
 			ph[x] = portalHop{p: e.Portals[x], h: e.Hops[x]}
@@ -528,26 +519,6 @@ func normalizeLabel(l *Label) {
 		}
 		e.Portals, e.Hops = ps, hs
 	}
-}
-
-// normalizePortals is the distance-only half of normalizeLabel: sort by
-// position and dedup keeping the smaller distance.
-func normalizePortals(e *Entry) {
-	ps := e.Portals
-	sort.Slice(ps, func(a, b int) bool {
-		if !core.SameDist(ps[a].Pos, ps[b].Pos) {
-			return ps[a].Pos < ps[b].Pos
-		}
-		return ps[a].Dist < ps[b].Dist
-	})
-	dedup := ps[:0]
-	for _, p := range ps {
-		if len(dedup) > 0 && core.SameDist(dedup[len(dedup)-1].Pos, p.Pos) {
-			continue // keep the smaller distance (sorted first)
-		}
-		dedup = append(dedup, p)
-	}
-	e.Portals = dedup
 }
 
 // Query returns a (1+ε)-approximate distance between u and v, or +Inf if

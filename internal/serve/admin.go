@@ -31,9 +31,6 @@ type ImageStatus struct {
 	// actually walks (24 B per portal).
 	PortalPoolBytes int `json:"portal_pool_bytes"`
 	SweepLaneBytes  int `json:"sweep_lane_bytes"`
-	// PathReporting reports whether the image answers /query/path (wire
-	// format v2); distance-only v1 images serve distances only.
-	PathReporting bool `json:"path_reporting"`
 }
 
 // ServingStatus is the live request-side accounting.
@@ -104,7 +101,6 @@ func (s *Server) status() Status {
 			Bytes:           im.bytes,
 			PortalPoolBytes: 16 * im.flat.NumPortals(),
 			SweepLaneBytes:  im.flat.LaneBytes(),
-			PathReporting:   im.flat.PathReporting(),
 		},
 		Serving: ServingStatus{
 			Inflight:     s.inflight.Load(),

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -130,10 +131,18 @@ func TestReloadRejectsCorrupt(t *testing.T) {
 	_, ts, flA := newTestServer(t, Config{})
 	valid := flA.Encode()
 
+	// The same image under the retired distance-only version byte is an
+	// unsupported version, not a distance-only image.
+	v1 := append([]byte(nil), valid...)
+	v1[1] = 1
+	if _, err := oracle.DecodeFlat(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 image: DecodeFlat err = %v, want unsupported version", err)
+	}
 	bad := [][]byte{
 		[]byte("not a flat oracle image"),
 		valid[:len(valid)/2],           // truncated
 		append([]byte{0xFF}, valid...), // corrupted header
+		v1,
 	}
 	for i, b := range bad {
 		// Copy: ReloadImage takes ownership of the buffer it accepts, and

@@ -93,10 +93,6 @@ func TestParallelBuildDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: freeze: %v", name, modeName, workers, err)
 				}
-				if fz.PathReporting() != o.PathReporting() {
-					t.Fatalf("%s/%s workers=%d: image path reporting %v, oracle %v",
-						name, modeName, workers, fz.PathReporting(), o.PathReporting())
-				}
 				enc := fz.Encode()
 				if workers == 1 {
 					refEnc, refDec = enc, dec

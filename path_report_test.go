@@ -97,15 +97,9 @@ func TestPathReportDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !o.PathReporting() {
-							t.Fatal("built oracle carries no path data")
-						}
 						fl, err := o.Freeze()
 						if err != nil {
 							t.Fatal(err)
-						}
-						if !fl.PathReporting() {
-							t.Fatal("frozen image lost its path data")
 						}
 						fl2, err := oracle.DecodeFlat(fl.Encode())
 						if err != nil {
@@ -178,21 +172,6 @@ func TestPathReportDifferential(t *testing.T) {
 								}
 							} else {
 								refPaths[key] = append([]int32(nil), buf...)
-							}
-						}
-
-						// Batch form: CSR segments must match the one-shot
-						// answers.
-						qp := []oracle.Pair{{U: 0, V: int32(n - 1)}, {U: 2, V: 2}, {U: 1, V: int32(n / 2)}}
-						dists, verts, offs, err := fl.QueryPathBatch(qp, nil, nil, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i, pr := range qp {
-							var d float64
-							d, buf, _ = fl.QueryPath(int(pr.U), int(pr.V), buf)
-							if !core.SameDist(d, dists[i]) || !samePath(buf, verts[offs[i]:offs[i+1]]) {
-								t.Fatalf("batch pair %d disagrees with QueryPath", i)
 							}
 						}
 					}

@@ -132,17 +132,10 @@ type Label = oracle.Label
 // Oracle.Freeze(); queries are goroutine-safe, allocation-free and
 // bit-identical to the pointer form. FlatOracle.QueryBatch answers a
 // slice of pairs into a caller-owned buffer, fanning out over the worker
-// pool. FlatOracle.QueryPath / QueryPathBatch report witness paths into
-// caller buffers (allocation-free once the buffers are warm) when the
-// image carries path records; distance-only images (wire format v1)
-// answer ErrNoPathData.
+// pool. FlatOracle.QueryPath reports a witness path into a caller
+// buffer (allocation-free once the buffer is warm); every image carries
+// the path records it walks.
 type FlatOracle = oracle.Flat
-
-// ErrNoPathData is answered by FlatOracle.QueryPath when the decoded
-// image is distance-only (wire format v1, or a pointer oracle built
-// before path reporting): distances still work, witness paths are not
-// recorded. Test with errors.Is.
-var ErrNoPathData = oracle.ErrNoPathData
 
 // QueryPair is one (U, V) query of a FlatOracle batch.
 type QueryPair = oracle.Pair
