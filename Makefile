@@ -11,6 +11,7 @@
 #   make bench-query     flat-vs-pointer query speedup gate (BENCH_query.json)
 #   make bench-path      path-reporting serving gate (BENCH_path.json)
 #   make bench-serve     in-process daemon self-load gate (BENCH_serve.json)
+#   make bench-decode    DecodeFlat on the 64x64 grid image: ns/op, allocations, ms/MB (no gate)
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -21,7 +22,7 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test fmt-check vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve
+.PHONY: check test fmt-check vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-decode
 
 check: fmt-check vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve
 
@@ -123,3 +124,9 @@ bench-path:
 # percentiles in BENCH_serve.json; zero errors and a sane p99 required.
 bench-serve:
 	BENCH_SERVE_GATE=1 $(GO) test -run TestServeBenchGate -v .
+
+# The load-path profile: DecodeFlat (validation, sweep lane, walk
+# layout) on the bench-query fixture's encoded image, with allocations
+# and decode time per encoded MB. It prints numbers and gates nothing.
+bench-decode:
+	$(GO) test -run '^$$' -bench BenchmarkDecodeFlat -benchmem .

@@ -2,7 +2,8 @@
 //
 // BenchmarkQueryPointer / BenchmarkQueryFlat time single queries over the
 // 4k-vertex grid's CoverPortal oracle in its pointer-walking and flat
-// (frozen) forms; BenchmarkQueryBatch times the batched path.
+// (frozen) forms; BenchmarkQueryBatch times the batched path, and
+// BenchmarkDecodeFlat the load of the same oracle's encoded image.
 //
 // TestQueryServingGate (run with BENCH_QUERY_GATE=1) is the CI gate: the
 // flat form must answer queries >= 1.5x faster than the pointer form and
@@ -89,6 +90,23 @@ func BenchmarkQueryBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = fx.fl.QueryBatch(fx.pairs, out)
 	}
+}
+
+// BenchmarkDecodeFlat times DecodeFlat on the fixture's encoded image:
+// validation plus everything derived at load (the sweep lane and the
+// walk layout). ms/MB is the decode time per encoded megabyte (10⁶
+// bytes), the unit perfbench reports as load.decode_ms_per_mb.
+func BenchmarkDecodeFlat(b *testing.B) {
+	fx := newQueryFixture(b)
+	enc := fx.fl.Encode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oracle.DecodeFlat(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(enc)), "ms/MB")
 }
 
 func TestQueryServingGate(t *testing.T) {

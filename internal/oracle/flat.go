@@ -135,18 +135,23 @@ func (o *Oracle) Freeze() (*Flat, error) {
 		portalOff: make([]int32, 1, numEntries+1),
 		portals:   make([]Portal, 0, numPortals),
 	}
+	keyOf := make([]int32, 0, numPortals)
 	for v := range o.Labels {
 		for _, e := range o.Labels[v].Entries {
-			f.entryKey = append(f.entryKey, seen[e.Key])
+			kid := seen[e.Key]
+			f.entryKey = append(f.entryKey, kid)
 			f.portals = append(f.portals, e.Portals...)
 			f.portalOff = append(f.portalOff, int32(len(f.portals)))
+			for range e.Portals {
+				keyOf = append(keyOf, kid)
+			}
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
 	if err := f.freezePaths(o); err != nil {
 		return nil, err
 	}
-	f.derive()
+	f.derive(keyOf)
 	return f, nil
 }
 
@@ -159,8 +164,9 @@ func (o *Oracle) Freeze() (*Flat, error) {
 // fl(diff_consumed + smin_other) equals the min of the pairwise
 // candidates fl(sum+diff) the register sweep folds one by one (see the
 // lane layout doc on Flat). The lane comes from a plain make and is
-// filled before the image is published.
-func (f *Flat) derive() {
+// filled before the image is published. keyOf holds each pool record's
+// key ID, for the walk layout's anchors.
+func (f *Flat) derive(keyOf []int32) {
 	f.lane = make([]float64, 3*len(f.portals))
 	for e := 0; e+1 < len(f.portalOff); e++ {
 		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
@@ -176,7 +182,7 @@ func (f *Flat) derive() {
 			f.lane[base+3*x+2] = sm
 		}
 	}
-	f.deriveWalk()
+	f.deriveWalk(keyOf)
 }
 
 // startRec is the per-pool-record walk entry: the record's slot and its
@@ -194,178 +200,118 @@ type startRec struct {
 	depth  int32
 }
 
-// deriveWalk compiles the hop forest into the walkBlk/walkFrom layout.
-// Chains are emitted in heavy-path order — each record's heaviest child
-// is placed immediately before it — so a chain from any slot to its head
-// is one contiguous owner run the walk copies in bulk; only light edges
-// jump, and a root-to-leaf walk crosses O(log P) of them. Anchor heads
-// resolve their path-geometry index here (the one equality search per
-// anchor that QueryPath would otherwise run per query). Records on a hop
-// cycle (possible only in a corrupt image: decode validates hop ranges,
-// not acyclicity) are never reached from an anchor and keep walkFrom
-// slot -1, which the walk reports as a dangling record.
-func (f *Flat) deriveWalk() {
+// walkNode is deriveWalk's bottom-up result for one pool record.
+type walkNode struct {
+	size  int32 // records in the subtree
+	heavy int32 // child with the largest subtree, lowest pool index on ties; -1 at a leaf
+	hsize int32 // size of heavy
+	inner int32 // walkBlk words the subtree fills, less its chain's trailer
+}
+
+// deriveWalk compiles the hop forest into the walkBlk/walkFrom layout in
+// two linear passes, with no tree walk. Record r's subtree fills one
+// interval of inner[r] = 1 + Σ inner[c] + 2·(children−1) words: a block
+// per light child (its interval, then a two-word trailer), then the
+// heavy child's interval, then r's own slot. So every heavy chain runs
+// leaf to head over contiguous slots, and only light edges jump. The
+// footprint does not depend on which child is heavy, so the bottom-up
+// pass (Kahn order, leaves first) settles sizes, footprints and heavy
+// children together. The top-down pass (reverse Kahn order, parents
+// first) places each record by arithmetic on its parent's placement: a
+// heavy child takes the slot just before its parent's, a light child
+// the next block from its parent's cursor, with a trailer naming the
+// parent's segment, and a root the next block from a global cursor.
+// end, anchor and depth are inherited from the parent. The heavy child
+// is the largest subtree, lowest pool index on ties, so the segments
+// are a function of the hop forest alone.
+//
+// Roots resolve their path-geometry index up front, in pool order (the
+// one equality search per anchor that QueryPath would otherwise run per
+// query); keyOf holds each pool record's key ID. A hop cycle is
+// possible only in a corrupt image (decode validates hop ranges, not
+// acyclicity): its records never drain from the bottom-up pass, and the
+// records hanging below it find their parent unplaced, so all of them
+// keep walkFrom slot -1, which the walk reports as a dangling record.
+func (f *Flat) deriveWalk(keyOf []int32) {
 	p := len(f.hops)
-	f.walkFrom = make([]startRec, p)
-	if p == 0 {
-		f.walkBlk = nil
-		return
-	}
-	pos := make([]int32, p)
+	nodes := make([]walkNode, p)
+	pend := make([]int32, p) // children not yet drained; then the next free light-child word
 	owner := make([]int32, p)
+	f.walkFrom = make([]startRec, p)
 	for v := 0; v < f.n; v++ {
-		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
-			for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
-				owner[i] = int32(v)
+		for i := f.portalOff[f.entryOff[v]]; i < f.portalOff[f.entryOff[v+1]]; i++ {
+			nodes[i] = walkNode{size: 1, heavy: -1, inner: 1}
+			owner[i] = int32(v)
+			sr := startRec{slot: -1, end: -1, anchor: -1}
+			if h := f.hops[i]; h >= 0 {
+				pend[h]++
+			} else {
+				kid := keyOf[i]
+				lo, hi := f.pathOff[kid], f.pathOff[kid+1]
+				if idx, err := pathIndexAt(f.pathPos[lo:hi], f.pathVert[lo:hi], f.portals[i].Pos, int32(v)); err == nil {
+					sr.anchor = int32(idx)
+				}
 			}
+			f.walkFrom[i] = sr
 		}
 	}
-	// Children of each record in the hop forest, CSR form.
-	childOff := make([]int32, p+1)
-	for _, h := range f.hops {
-		if h >= 0 {
-			childOff[h+1]++
-		}
-	}
-	for i := 0; i < p; i++ {
-		childOff[i+1] += childOff[i]
-	}
-	child := make([]int32, childOff[p])
-	fill := make([]int32, p)
-	for i, h := range f.hops {
-		if h >= 0 {
-			child[childOff[h]+fill[h]] = int32(i)
-			fill[h]++
-		}
-	}
-	// Subtree sizes bottom-up (Kahn's order: leaves drain first). Cycle
-	// records never drain; their sizes stay partial, which is fine — they
-	// are never placed either.
-	size := make([]int32, p)
-	pend := fill // fully counted above; reuse as the pending-child count
 	queue := make([]int32, 0, p)
-	for i := 0; i < p; i++ {
-		size[i] = 1
-		if pend[i] == 0 {
+	for i, c := range pend {
+		if c == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
+	words := int32(0)
 	for qi := 0; qi < len(queue); qi++ {
-		i := queue[qi]
-		if h := f.hops[i]; h >= 0 {
-			size[h] += size[i]
-			if pend[h]--; pend[h] == 0 {
-				queue = append(queue, h)
-			}
+		r := queue[qi]
+		nd := &nodes[r]
+		if nd.heavy >= 0 {
+			nd.inner -= 2 // the heavy child shares r's trailer
+		}
+		h := f.hops[r]
+		if h < 0 {
+			words += nd.inner + 2
+			continue
+		}
+		up := &nodes[h]
+		up.size += nd.size
+		up.inner += nd.inner + 2
+		if nd.size > up.hsize || (nd.size == up.hsize && r < up.heavy) {
+			up.heavy, up.hsize = r, nd.size
+		}
+		if pend[h]--; pend[h] == 0 {
+			queue = append(queue, h)
 		}
 	}
-	heavy := make([]int32, p)
-	for i := 0; i < p; i++ {
-		best, bestSz := int32(-1), int32(0)
-		for x := childOff[i]; x < childOff[i+1]; x++ {
-			if c := child[x]; size[c] > bestSz {
-				best, bestSz = c, size[c]
-			}
+	blk := make([]int32, words)
+	next := int32(0) // the global cursor for root blocks
+	for qi := len(queue) - 1; qi >= 0; qi-- {
+		r := queue[qi]
+		inner := nodes[r].inner
+		sr := f.walkFrom[r]
+		switch h := f.hops[r]; {
+		case h < 0:
+			sr.slot = next + inner - 1
+			sr.end, sr.depth = sr.slot, 1
+			blk[sr.slot+1], blk[sr.slot+2] = -1, -1
+			next += inner + 2
+		case f.walkFrom[h].slot < 0:
+			continue // on or below a hop cycle
+		case nodes[h].heavy == r:
+			up := f.walkFrom[h]
+			sr = startRec{slot: up.slot - 1, end: up.end, anchor: up.anchor, depth: up.depth + 1}
+		default:
+			up := f.walkFrom[h]
+			slot := pend[h] + inner - 1
+			sr = startRec{slot: slot, end: slot, anchor: up.anchor, depth: up.depth + 1}
+			blk[slot+1], blk[slot+2] = up.slot, up.end
+			pend[h] += inner + 2
 		}
-		heavy[i] = best
-	}
-	// Lay out heavy paths into walkBlk: each chain root-to-leaf, written
-	// leaf-first so the bulk copy runs child-to-parent left to right, the
-	// chain head on the run's last slot, and a two-word trailer after it.
-	// Chains are placed parent-before-light-child (a head is pushed only
-	// after its parent's chain lands), so a chain's jump and anchor
-	// resolve off already-placed chains in one placement-order pass.
-	for i := range pos {
-		pos[i] = -1
-	}
-	var heads, path []int32
-	for i := 0; i < p; i++ {
-		if f.hops[i] < 0 {
-			heads = append(heads, int32(i))
-		}
-	}
-	type chainRec struct {
-		head int32 // pool record on the run's last slot
-		end  int32 // walkBlk index of that slot
-	}
-	var chains []chainRec
-	chainOf := make([]int32, p) // pool record -> index into chains
-	recEnd := make([]int32, p)  // pool record -> its chain's end slot
-	blk := make([]int32, 0, p+p/2)
-	for len(heads) > 0 {
-		h := heads[len(heads)-1]
-		heads = heads[:len(heads)-1]
-		path = path[:0]
-		for x := h; x >= 0; x = heavy[x] {
-			path = append(path, x)
-		}
-		end := int32(len(blk) + len(path) - 1)
-		ci := int32(len(chains))
-		chains = append(chains, chainRec{head: h, end: end})
-		for i := len(path) - 1; i >= 0; i-- {
-			r := path[i]
-			pos[r] = int32(len(blk))
-			blk = append(blk, owner[r])
-			chainOf[r] = ci
-			recEnd[r] = end
-		}
-		blk = append(blk, -1, -1) // trailer, filled below
-		for _, node := range path {
-			for x := childOff[node]; x < childOff[node+1]; x++ {
-				if c := child[x]; c != heavy[node] {
-					heads = append(heads, c)
-				}
-			}
-		}
-	}
-	f.walkBlk = blk
-	// Resolve each placed anchor head's geometry index — a failed
-	// resolution (corrupt image) stays -1 and surfaces as a walk error.
-	anchorIdx := make([]int32, p)
-	for i := range anchorIdx {
-		anchorIdx[i] = -1
-	}
-	for e := 0; e < len(f.entryKey); e++ {
-		kid := f.entryKey[e]
-		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
-		pathPos := f.pathPos[plo:phi]
-		pathVert := f.pathVert[plo:phi]
-		for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
-			if pos[i] < 0 || f.hops[i] >= 0 {
-				continue
-			}
-			if idx, err := pathIndexAt(pathPos, pathVert, f.portals[i].Pos, owner[i]); err == nil {
-				anchorIdx[i] = int32(idx)
-			}
-		}
-	}
-	// Fill trailers and per-chain anchor/tail-depth in placement order: a
-	// light chain jumps into its parent's run and inherits its anchor and
-	// the walk length past its head; a root chain stops at its own
-	// resolved geometry index.
-	chainAnchor := make([]int32, len(chains))
-	chainTail := make([]int32, len(chains)) // output length after the head
-	for ci, c := range chains {
-		if h := f.hops[c.head]; h >= 0 {
-			blk[c.end+1] = pos[h]
-			blk[c.end+2] = recEnd[h]
-			hc := chainOf[h]
-			chainAnchor[ci] = chainAnchor[hc]
-			chainTail[ci] = (recEnd[h] - pos[h] + 1) + chainTail[hc]
-		} else {
-			chainAnchor[ci] = anchorIdx[c.head]
-		}
-	}
-	for r := 0; r < p; r++ {
-		sr := startRec{slot: pos[r], end: -1, anchor: -1}
-		if sr.slot >= 0 {
-			ci := chainOf[r]
-			sr.end = recEnd[r]
-			sr.anchor = chainAnchor[ci]
-			sr.depth = (recEnd[r] - pos[r] + 1) + chainTail[ci]
-		}
+		pend[r] = sr.slot + 1 - inner // r's light blocks open its interval
+		blk[sr.slot] = owner[r]
 		f.walkFrom[r] = sr
 	}
+	f.walkBlk = blk
 }
 
 // N returns the number of labeled vertices.

@@ -245,35 +245,37 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 			f.pathPos[i] = math.Float64frombits(le.Uint64(buf[s.pathPos+8*i:]))
 		}
 	}
-	if err := f.validate(); err != nil {
+	keyOf, err := f.validate()
+	if err != nil {
 		return nil, err
 	}
-	f.derive()
+	f.derive(keyOf)
 	return f, nil
 }
 
 // validate bounds-checks every CSR offset so the hot path can index
 // without guards, and checks the record orders and value ranges the
 // merge and both sweeps assume, so a corrupt image is rejected instead
-// of served.
-func (f *Flat) validate() error {
+// of served. On success it returns each pool record's key ID, which the
+// walk layout reuses.
+func (f *Flat) validate() ([]int32, error) {
 	if f.entryOff[0] != 0 || int(f.entryOff[f.n]) != len(f.entryKey) {
-		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")
+		return nil, fmt.Errorf("oracle: flat: entry offsets do not span the entry table")
 	}
 	for v := 0; v < f.n; v++ {
 		if f.entryOff[v] > f.entryOff[v+1] {
-			return fmt.Errorf("oracle: flat: entry offsets decrease at vertex %d", v)
+			return nil, fmt.Errorf("oracle: flat: entry offsets decrease at vertex %d", v)
 		}
 	}
 	if f.portalOff[0] != 0 || int(f.portalOff[len(f.portalOff)-1]) != len(f.portals) {
-		return fmt.Errorf("oracle: flat: portal offsets do not span the pool")
+		return nil, fmt.Errorf("oracle: flat: portal offsets do not span the pool")
 	}
 	for e := 0; e < len(f.entryKey); e++ {
 		if f.portalOff[e] > f.portalOff[e+1] {
-			return fmt.Errorf("oracle: flat: portal offsets decrease at entry %d", e)
+			return nil, fmt.Errorf("oracle: flat: portal offsets decrease at entry %d", e)
 		}
 		if int(f.entryKey[e]) < 0 || int(f.entryKey[e]) >= len(f.keys) {
-			return fmt.Errorf("oracle: flat: entry %d references unknown key %d", e, f.entryKey[e])
+			return nil, fmt.Errorf("oracle: flat: entry %d references unknown key %d", e, f.entryKey[e])
 		}
 	}
 	// Element-level checks on the record sections, not just the CSR
@@ -286,13 +288,13 @@ func (f *Flat) validate() error {
 	// unreachable sentinel some constructions store in Dist.
 	for i := range f.keys {
 		if int(f.keys[i].Node) < 0 || int(f.keys[i].Node) >= f.n {
-			return fmt.Errorf("oracle: flat: key %d names out-of-range vertex %d", i, f.keys[i].Node)
+			return nil, fmt.Errorf("oracle: flat: key %d names out-of-range vertex %d", i, f.keys[i].Node)
 		}
 	}
 	for v := 0; v < f.n; v++ {
 		for e := f.entryOff[v] + 1; e < f.entryOff[v+1]; e++ {
 			if f.entryKey[e] <= f.entryKey[e-1] {
-				return fmt.Errorf("oracle: flat: entry keys of vertex %d not strictly increasing", v)
+				return nil, fmt.Errorf("oracle: flat: entry keys of vertex %d not strictly increasing", v)
 			}
 		}
 	}
@@ -302,16 +304,19 @@ func (f *Flat) validate() error {
 		for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
 			p := f.portals[i]
 			if math.IsNaN(p.Pos) || math.IsNaN(p.Dist) || p.Pos < 0 || p.Dist < 0 {
-				return fmt.Errorf("oracle: flat: portal record %d is NaN or negative", i)
+				return nil, fmt.Errorf("oracle: flat: portal record %d is NaN or negative", i)
 			}
 			if p.Pos <= prev {
-				return fmt.Errorf("oracle: flat: portal positions of entry %d not strictly increasing", e)
+				return nil, fmt.Errorf("oracle: flat: portal positions of entry %d not strictly increasing", e)
 			}
 			prev = p.Pos
 			keyOf[i] = f.entryKey[e]
 		}
 	}
-	return f.validatePaths(keyOf)
+	if err := f.validatePaths(keyOf); err != nil {
+		return nil, err
+	}
+	return keyOf, nil
 }
 
 // validatePaths checks the path sections, given each pool record's key

@@ -354,6 +354,10 @@ func FuzzDecodeFlat(f *testing.F) {
 	v1 := append([]byte(nil), enc...)
 	v1[1] = 1
 	f.Add(v1)
+	// An in-range hop cycle with records hanging below it: decodes, and
+	// path queries through it must fail cleanly.
+	cyclic, _ := cyclicHopImage(f, fl)
+	f.Add(cyclic)
 	// One seed per element-level decode rule, in a fixed order.
 	bad := corruptFlatImages(f)
 	names := make([]string, 0, len(bad))

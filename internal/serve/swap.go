@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,22 +166,41 @@ func waitDrain(old *image, timeout time.Duration) bool {
 
 // handleReload answers POST /admin/reload: the body is a flat image
 // (oracle.Flat encoding, as written by cmd/pathsepd -save-image or
-// Flat.Encode). Invalid images are rejected with 422 and the old image
-// keeps serving; success echoes the ReloadResult.
+// Flat.Encode). A declared length over the cap gets 413 before any byte
+// is read, as does a chunked upload that runs past it; a body shorter
+// than its declared length gets 400. Invalid images are rejected with
+// 422 and the old image keeps serving; success echoes the ReloadResult.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// ReadAll gives an owned buffer: the zero-copy decode aliases it, so
-	// it must never come from (or return to) a pool.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxImage)))
-	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("image larger than the %d-byte cap or unreadable", s.maxImage))
+	limit := int64(s.maxImage)
+	if r.ContentLength > limit {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("image of %d bytes exceeds the %d-byte cap", r.ContentLength, limit))
 		return
 	}
-	if len(body) == 0 {
+	// The body lands in one owned buffer: the zero-copy decode aliases
+	// it, so it must never come from (or return to) a pool. A declared
+	// length sizes it once; a chunked upload grows it as it arrives.
+	in := http.MaxBytesReader(w, r.Body, limit)
+	var body []byte
+	var err error
+	if r.ContentLength > 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(in, body)
+	} else {
+		body, err = io.ReadAll(in)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("image larger than the %d-byte cap", limit))
+		return
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, "image body unreadable or shorter than its Content-Length: "+err.Error())
+		return
+	case len(body) == 0:
 		s.fail(w, http.StatusBadRequest, "empty body; POST a flat oracle image")
 		return
 	}

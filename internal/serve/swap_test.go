@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,6 +206,105 @@ func TestReloadImageCap(t *testing.T) {
 	_, ts, fl := newTestServer(t, Config{MaxImage: 64})
 	if _, code := postReload(t, ts.URL, fl.Encode()); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap image: status %d, want 413", code)
+	}
+}
+
+// readCounter is a request body that counts the bytes read from it.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReloadDeclaredOverCap: a Content-Length above the cap is refused
+// with 413 before a single body byte is read, and nothing swaps.
+func TestReloadDeclaredOverCap(t *testing.T) {
+	s, ts, fl := newTestServer(t, Config{MaxImage: 64})
+	enc := fl.Encode()
+	body := &readCounter{r: bytes.NewReader(enc)}
+	req := httptest.NewRequest(http.MethodPost, "/admin/reload", body)
+	req.ContentLength = int64(len(enc))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared over-cap length: status %d, want 413", rec.Code)
+	}
+	if body.n != 0 {
+		t.Fatalf("read %d body bytes before refusing a declared over-cap length", body.n)
+	}
+	if g := adminStatus(t, ts.URL).Image.Generation; g != 1 {
+		t.Fatalf("generation %d after a refused reload, want 1", g)
+	}
+}
+
+// TestReloadShortBody: a body that ends before its declared length is
+// rejected with 400 and the old image keeps serving.
+func TestReloadShortBody(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	enc := altFlat(t).Encode()
+	req := httptest.NewRequest(http.MethodPost, "/admin/reload", bytes.NewReader(enc[:len(enc)/2]))
+	req.ContentLength = int64(len(enc))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("short body: status %d, want 400", rec.Code)
+	}
+	if g := adminStatus(t, ts.URL).Image.Generation; g != 1 {
+		t.Fatalf("generation %d after a short-body reload, want 1", g)
+	}
+}
+
+// postChunked posts image to /admin/reload with no declared length, so
+// it goes out with chunked transfer encoding.
+func postChunked(tb testing.TB, url string, image []byte) *http.Response {
+	tb.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/admin/reload", io.MultiReader(bytes.NewReader(image)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req.ContentLength = -1
+	req.TransferEncoding = []string{"chunked"}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp
+}
+
+// TestReloadChunked: an upload with no declared length (chunked
+// transfer encoding) still swaps a valid image in, and one that runs
+// past the cap still gets 413.
+func TestReloadChunked(t *testing.T) {
+	_, small, fl := newTestServer(t, Config{MaxImage: 64})
+	resp := postChunked(t, small.URL, fl.Encode())
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked over-cap reload: status %d, want 413", resp.StatusCode)
+	}
+
+	_, ts, _ := newTestServer(t, Config{})
+	flB := altFlat(t)
+	enc := flB.Encode()
+	resp = postChunked(t, ts.URL, enc)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked reload: status %d, want 200", resp.StatusCode)
+	}
+	var res ReloadResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Generation != 2 || res.Bytes != len(enc) || res.N != flB.N() {
+		t.Fatalf("chunked reload result %+v, want generation 2, %d bytes, n %d", res, len(enc), flB.N())
+	}
+	if g := adminStatus(t, ts.URL).Image.Generation; g != 2 {
+		t.Fatalf("generation %d after a chunked reload, want 2", g)
 	}
 }
 
