@@ -1,19 +1,22 @@
 // Query-serving benchmarks and the make-check speedup gate.
 //
-// BenchmarkQueryPointer / BenchmarkQueryFlat time single queries over the
-// 4k-vertex grid's CoverPortal oracle in its pointer-walking and flat
-// (frozen) forms; BenchmarkQueryBatch times the batched path, and
+// BenchmarkQueryLabels / BenchmarkQueryFlat time single queries over the
+// 4k-vertex grid's CoverPortal oracle: QueryLabels over the build's
+// pointer-linked labels (the distributed scheme) and Flat.Query over the
+// frozen image; BenchmarkQueryBatch times the batched path, and
 // BenchmarkDecodeFlat the load of the same oracle's encoded image.
 //
-// TestQueryServingGate (run with BENCH_QUERY_GATE=1) is the CI gate: the
-// flat form must answer queries >= 1.5x faster than the pointer form and
-// Flat.Query must allocate nothing; the measured numbers are recorded in
-// BENCH_query.json. Unlike the parallel-build gate this one holds on a
-// single-core runner too — the flat layout's win is locality and interned
-// key compares, not parallelism.
+// TestQueryServingGate (run with BENCH_QUERY_GATE=1) is the CI gate:
+// Flat.Query must answer >= 1.5x faster than QueryLabels over the same
+// labels and must allocate nothing; the measured numbers are recorded
+// in BENCH_query.json. Unlike the parallel-build gate this one holds on
+// a single-core runner too — the flat layout's win is locality and
+// interned key compares, not parallelism.
 package pathsep_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -36,6 +39,11 @@ type queryFixture struct {
 }
 
 var sharedQueryFixture *queryFixture
+
+// labelQuery answers p from the build's two labels alone.
+func (fx *queryFixture) labelQuery(p oracle.Pair) float64 {
+	return oracle.QueryLabels(&fx.o.Labels[p.U], &fx.o.Labels[p.V])
+}
 
 func newQueryFixture(tb testing.TB) *queryFixture {
 	tb.Helper()
@@ -65,12 +73,11 @@ func newQueryFixture(tb testing.TB) *queryFixture {
 	return sharedQueryFixture
 }
 
-func BenchmarkQueryPointer(b *testing.B) {
+func BenchmarkQueryLabels(b *testing.B) {
 	fx := newQueryFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := fx.pairs[i%len(fx.pairs)]
-		fx.o.Query(int(p.U), int(p.V))
+		fx.labelQuery(fx.pairs[i%len(fx.pairs)])
 	}
 }
 
@@ -127,21 +134,21 @@ func TestQueryServingGate(t *testing.T) {
 	// Three paired rounds, best ratio wins — bench-path's protocol.
 	// Scheduler noise on a shared runner only ever inflates a
 	// measurement, so judging one unpaired run makes the gate flaky in
-	// both directions; pairing pointer and flat inside each round and
+	// both directions; pairing labels and flat inside each round and
 	// taking the round with the best ratio is the faithful estimate.
 	// The per-round flat measurements also yield a recorded relative
 	// variance, so a noisy run is visible in BENCH_query.json.
 	const rounds = 3
-	pointer, flat := 0.0, 0.0
+	labels, flat := 0.0, 0.0
 	speedup := 0.0
 	flatMin, flatMax := math.Inf(1), 0.0
 	out := make([]float64, len(fx.pairs))
 	batchQPS := 0.0
 	for round := 0; round < rounds; round++ {
-		po := perOp(func(p oracle.Pair) { fx.o.Query(int(p.U), int(p.V)) })
+		lb := perOp(func(p oracle.Pair) { fx.labelQuery(p) })
 		fl := perOp(func(p oracle.Pair) { fx.fl.Query(int(p.U), int(p.V)) })
-		if s := po / fl; s > speedup {
-			pointer, flat, speedup = po, fl, s
+		if s := lb / fl; s > speedup {
+			labels, flat, speedup = lb, fl, s
 		}
 		flatMin = math.Min(flatMin, fl)
 		flatMax = math.Max(flatMax, fl)
@@ -174,7 +181,7 @@ func TestQueryServingGate(t *testing.T) {
 		"grid":                       "64x64",
 		"mode":                       "portal",
 		"gomaxprocs":                 runtime.GOMAXPROCS(0),
-		"pointer_ns_per_op":          pointer,
+		"labels_ns_per_op":           labels,
 		"flat_ns_per_op":             flat,
 		"speedup":                    speedup,
 		"required_speedup":           1.5,
@@ -198,7 +205,7 @@ func TestQueryServingGate(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote BENCH_query.json: pointer=%.0fns flat=%.0fns speedup=%.2fx variance=%.1f%% batch=%.0f qps", pointer, flat, speedup, variance*100, batchQPS)
+	t.Logf("wrote BENCH_query.json: labels=%.0fns flat=%.0fns speedup=%.2fx variance=%.1f%% batch=%.0f qps", labels, flat, speedup, variance*100, batchQPS)
 
 	if allocs != 0 {
 		t.Fatalf("Flat.Query allocated: %.2f allocs per 64-query loop, want 0", allocs)
@@ -207,6 +214,19 @@ func TestQueryServingGate(t *testing.T) {
 		t.Fatalf("Flat.QueryBatch allocated: %.2f allocs per warm batch, want 0", batchAllocs)
 	}
 	if speedup < 1.5 {
-		t.Fatalf("flat query speedup %.2fx < required 1.5x (pointer %.0fns, flat %.0fns)", speedup, pointer, flat)
+		t.Fatalf("flat query speedup %.2fx < required 1.5x (labels %.0fns, flat %.0fns)", speedup, labels, flat)
+	}
+}
+
+// queryFixtureImageSHA256 is the sha256 of the bench-query fixture's
+// Freeze().Encode(): like oracle's TestImageBytesGolden, it pins the
+// image bytes across commits on the largest fixture the gates use.
+const queryFixtureImageSHA256 = "96220460483236cd53d9d4e166288421e6c381b5fbb92bb541429b7e019fec9e"
+
+func TestQueryFixtureImageGolden(t *testing.T) {
+	fx := newQueryFixture(t)
+	sum := sha256.Sum256(fx.fl.Encode())
+	if got := hex.EncodeToString(sum[:]); got != queryFixtureImageSHA256 {
+		t.Fatalf("64x64 grid image sha256 %s, want %s", got, queryFixtureImageSHA256)
 	}
 }

@@ -142,10 +142,14 @@ func BenchmarkE4OracleQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fl, err := o.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := r.G.N()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Query(i%n, (i*31)%n)
+		fl.Query(i%n, (i*31)%n)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command oracle builds the Theorem 2 distance oracle over a graph read
-// from stdin (or -in), runs random queries, and reports stretch, label
-// sizes and query latency.
+// from stdin (or -in), freezes it into its serving image, runs random
+// queries on the image, and reports stretch, label sizes and query
+// latency.
 //
 // Usage:
 //
@@ -10,11 +11,6 @@
 // registry (decomposition level timings, Dijkstra relaxation counts,
 // query latency histogram); with -pprof addr it serves net/http/pprof
 // and /debug/vars while running.
-//
-// -flat freezes the oracle into its flat serving form (oracle.Flat) and
-// runs the query and audit phases through it; -serve-bench 2s measures
-// serving throughput (single-thread Query and batched QueryBatch QPS,
-// reported to the oracle.batch_qps gauge when -metrics is set).
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 	"pathsep/internal/graph"
 	"pathsep/internal/obs"
 	"pathsep/internal/oracle"
-	"pathsep/internal/shortest"
 )
 
 func main() {
@@ -40,10 +35,7 @@ func main() {
 	queries := flag.Int("queries", 1000, "random queries to run")
 	audit := flag.Int("audit", 200, "queries to audit against Dijkstra")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "construction worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	flat := flag.Bool("flat", false, "freeze the oracle into its flat serving form and query through it")
-	serveBench := flag.Duration("serve-bench", 0, "run a query-throughput benchmark (single-thread and batched) for this long; implies -flat")
-	batch := flag.Int("batch", 1024, "batch size for -serve-bench QueryBatch rounds")
+	workers := flag.Int("workers", 0, "construction and audit worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	metricsOut := flag.String("metrics", "", "write a metrics JSON snapshot to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /debug/vars on this address")
 	flag.Parse()
@@ -106,60 +98,33 @@ func main() {
 	}
 	buildTime := time.Since(start)
 
-	// The flat serving form: queries (and -serve-bench) run through it
-	// when requested; answers are bit-identical to the pointer oracle.
-	var fl *oracle.Flat
-	query := o.Query
-	if *flat || *serveBench > 0 {
-		start = time.Now()
-		var err error
-		fl, err = o.Freeze()
-		if err != nil {
-			fail(err)
-		}
-		freezeTime := time.Since(start)
-		fl.SetMetrics(reg)
-		query = fl.Query
-		fmt.Printf("flat: froze in %v  (%d keys, %d entries, %d portals, %d bytes)\n",
-			freezeTime.Round(time.Millisecond), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
+	start = time.Now()
+	fl, err := o.Freeze()
+	if err != nil {
+		fail(err)
 	}
+	freezeTime := time.Since(start)
+	fl.SetMetrics(reg)
 
 	rng := rand.New(rand.NewSource(*seed))
 	start = time.Now()
 	for i := 0; i < *queries; i++ {
-		query(rng.Intn(g.N()), rng.Intn(g.N()))
+		fl.Query(rng.Intn(g.N()), rng.Intn(g.N()))
 	}
 	qTime := time.Since(start) / time.Duration(max(1, *queries))
 
-	worst, sum, count := 1.0, 0.0, 0
-	for i := 0; i < *audit; i++ {
-		u, v := rng.Intn(g.N()), rng.Intn(g.N())
-		if u == v {
-			continue
-		}
-		d := shortest.Dijkstra(g, u).Dist[v]
-		if math.IsInf(d, 1) || core.IsZeroDist(d) {
-			continue
-		}
-		ratio := query(u, v) / d
-		if ratio > worst {
-			worst = ratio
-		}
-		sum += ratio
-		count++
-	}
+	res := fl.AuditWorkers(g, *audit, rng.Intn, *workers)
 
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 	fmt.Printf("decompose: %v  (maxK=%d depth=%d)\n", decTime.Round(time.Millisecond), dec.MaxK, dec.Depth)
 	fmt.Printf("build: %v  mode=%s eps=%g\n", buildTime.Round(time.Millisecond), *mode, *eps)
 	fmt.Printf("space: %d portal entries, max label %d portals\n", o.SpacePortals(), o.MaxLabelPortals())
+	fmt.Printf("freeze: %v  (%d keys, %d entries, %d portals, %d bytes)\n",
+		freezeTime.Round(time.Millisecond), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
 	fmt.Printf("query: %v/query over %d queries\n", qTime, *queries)
-	if count > 0 {
+	if res.Pairs > 0 {
 		fmt.Printf("stretch: max=%.4f mean=%.4f over %d audited pairs (bound 1+eps=%.4f)\n",
-			worst, sum/float64(count), count, 1+*eps)
-	}
-	if *serveBench > 0 {
-		serveBenchmark(fl, g.N(), *serveBench, *batch, *workers, rng)
+			res.MaxStretch, res.MeanStretch, res.Pairs, 1+*eps)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {
@@ -167,44 +132,6 @@ func main() {
 		}
 		fmt.Printf("metrics: snapshot written to %s\n", *metricsOut)
 	}
-}
-
-// serveBenchmark measures serving throughput over the flat oracle: a
-// single-thread Query loop and batched QueryBatch rounds (buffer reused
-// across rounds), each for roughly half the given duration.
-func serveBenchmark(fl *oracle.Flat, n int, d time.Duration, batch, workers int, rng *rand.Rand) {
-	if batch < 1 {
-		batch = 1
-	}
-	half := d / 2
-
-	single := 0
-	deadline := time.Now().Add(half)
-	startSingle := time.Now()
-	for time.Now().Before(deadline) {
-		for i := 0; i < 256; i++ {
-			fl.Query(rng.Intn(n), rng.Intn(n))
-		}
-		single += 256
-	}
-	singleQPS := float64(single) / time.Since(startSingle).Seconds()
-
-	pairs := make([]oracle.Pair, batch)
-	out := make([]float64, batch)
-	batched := 0
-	deadline = time.Now().Add(half)
-	startBatch := time.Now()
-	for time.Now().Before(deadline) {
-		for i := range pairs {
-			pairs[i] = oracle.Pair{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
-		}
-		out = fl.QueryBatchWorkers(pairs, out, workers)
-		batched += len(pairs)
-	}
-	batchQPS := float64(batched) / time.Since(startBatch).Seconds()
-
-	fmt.Printf("serve-bench: single-thread %.0f qps, batched %.0f qps (batch=%d workers=%d, %.1fx)\n",
-		singleQPS, batchQPS, batch, workers, batchQPS/singleQPS)
 }
 
 func writeMetrics(path string, reg *obs.Registry) error {

@@ -49,7 +49,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":9120", "address to serve on")
-	image := flag.String("image", "", "flat oracle image to load (from FlatOracle.Encode / -save-image)")
+	image := flag.String("image", "", "oracle image to load (from Oracle.Encode / -save-image)")
 	graphIn := flag.String("graph", "", "build the oracle from this edge-list file instead (\"-\" = stdin)")
 	eps := flag.Float64("eps", 0.25, "epsilon of the (1+eps) approximation (with -graph)")
 	mode := flag.String("mode", "portal", "exact|portal (with -graph)")

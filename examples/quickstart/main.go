@@ -41,8 +41,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("oracle: %d portal entries total, largest label %d portals\n",
-		orc.SpacePortals(), orc.MaxLabelPortals())
+	fmt.Printf("oracle: %d portal entries total, %d-byte image\n",
+		orc.NumPortals(), orc.EncodedSize())
 
 	// Queries: 0 -> 6 goes 0-..-2, highway, 4-5-6 (or 4-7-6): 2+5+2 = 9.
 	for _, pair := range [][2]int{{0, 6}, {1, 7}, {0, 3}, {5, 5}} {
@@ -52,6 +52,7 @@ func main() {
 
 	// The oracle distributes into per-vertex labels: two labels alone
 	// answer a query (Theorem 2's distance labeling scheme).
-	d := pathsep.QueryLabels(&orc.Labels[0], &orc.Labels[6])
+	l0, l6 := orc.Label(0), orc.Label(6)
+	d := pathsep.QueryLabels(&l0, &l6)
 	fmt.Printf("label-only query 0 -> 6: %.2f\n", d)
 }

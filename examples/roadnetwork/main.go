@@ -56,8 +56,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("oracle built in %v: %d entries (%.1f per intersection)\n",
-		time.Since(start).Round(time.Millisecond), orc.SpacePortals(),
-		float64(orc.SpacePortals())/float64(g.N()))
+		time.Since(start).Round(time.Millisecond), orc.NumPortals(),
+		float64(orc.NumPortals())/float64(g.N()))
 
 	// Audit 200 random trips against exact Dijkstra.
 	worst, sum, count := 1.0, 0.0, 0

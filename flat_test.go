@@ -1,6 +1,6 @@
 // Differential and race coverage for the flat serving form: Flat.Query,
 // QueryBatch (every worker count) and both decode paths must return
-// bit-identical answers to the pointer-walking Oracle.Query on every
+// bit-identical answers to QueryLabels over the build's labels on every
 // graph family and mode, and the whole surface must survive -race
 // alongside metric snapshots.
 package pathsep_test
@@ -23,6 +23,19 @@ import (
 // contract is stronger than epsilon equality).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// labelQuery is the reference for every Flat.Query answer: +Inf for
+// malformed IDs, 0 for u == v, and otherwise QueryLabels over the
+// build's two labels.
+func labelQuery(o *oracle.Oracle, u, v int) float64 {
+	if u < 0 || v < 0 || u >= o.N || v >= o.N {
+		return math.Inf(1)
+	}
+	if u == v {
+		return 0
+	}
+	return oracle.QueryLabels(&o.Labels[u], &o.Labels[v])
 }
 
 // freezeVariants returns the three Flat forms that must agree: the direct
@@ -54,7 +67,7 @@ func freezeVariants(t *testing.T, o *oracle.Oracle) map[string]*oracle.Flat {
 // TestFlatQueryDifferential is the acceptance contract: across the grid,
 // random-tree and mesh+apex families, both oracle modes, and workers in
 // {1, 2, 4, 0}, the flat forms answer every pair (including self and
-// out-of-range pairs) bit-identically to Oracle.Query.
+// out-of-range pairs) bit-identically to QueryLabels over the labels.
 func TestFlatQueryDifferential(t *testing.T) {
 	for name, fam := range parallelFamilies(t) {
 		for _, mode := range []oracle.Mode{oracle.CoverExact, oracle.CoverPortal} {
@@ -75,7 +88,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 			pairs := make([]oracle.Pair, 0, (n+2)*(n+2))
 			for u := -1; u <= n; u++ {
 				for v := -1; v <= n; v++ {
-					want = append(want, o.Query(u, v))
+					want = append(want, labelQuery(o, u, v))
 					pairs = append(pairs, oracle.Pair{U: int32(u), V: int32(v)})
 				}
 			}
@@ -84,7 +97,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 				for i, p := range pairs {
 					got := fl.Query(int(p.U), int(p.V))
 					if !sameBits(got, want[i]) {
-						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, pointer oracle %v",
+						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, labels %v",
 							name, modeName, fname, p.U, p.V, got, want[i])
 					}
 				}
@@ -102,7 +115,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 					}
 					for i := range out {
 						if !sameBits(out[i], want[i]) {
-							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, pointer oracle %v",
+							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, labels %v",
 								name, modeName, fname, workers, i, pairs[i].U, pairs[i].V, out[i], want[i])
 						}
 					}

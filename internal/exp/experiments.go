@@ -204,13 +204,17 @@ func E4Oracle(c Config) *Table {
 					continue
 				}
 				build := time.Since(start)
+				fl, err := o.Freeze()
+				if err != nil {
+					continue
+				}
 				qStart := time.Now()
 				const qn = 20000
 				for i := 0; i < qn; i++ {
-					o.Query(i%g.N(), (i*7)%g.N())
+					fl.Query(i%g.N(), (i*7)%g.N())
 				}
 				qTime := time.Since(qStart) / qn
-				maxS, meanS := sampledStretch(g, o.Query, pairs, rng)
+				maxS, meanS := sampledStretch(g, fl.Query, pairs, rng)
 				t.AddRow("grid", g.N(), name, eps, o.SpacePortals(), build.Round(time.Millisecond), qTime, maxS, meanS)
 			}
 		}

@@ -278,96 +278,6 @@ func (t *TreeLabeling) QueryPath(u, v int, buf []int32) (float64, []int32, error
 	return dist, buf[:len(buf)-1], nil
 }
 
-// FlatTree is the compiled read-only query form of a TreeLabeling: the
-// same frozen struct-of-arrays layout the distance oracle uses
-// (oracle.Flat). Per-vertex entries live in CSR form — vertex v owns
-// entries off[v]..off[v+1] of the contiguous centroid/dist pools — and a
-// query is a branch-light merge-join over two index ranges instead of a
-// map build per call. Queries return bit-identical results to
-// TreeLabeling.Query; a FlatTree is immutable and safe for unbounded
-// concurrent use.
-type FlatTree struct {
-	off      []int32
-	centroid []int32
-	dist     []float64
-	n        int
-	depth    int
-}
-
-// Freeze compiles the labeling into its flat serving form. Entries of each
-// label are stored (and verified) in increasing centroid-ID order — the
-// order BuildTree emits them in — which the merge-join relies on.
-func (t *TreeLabeling) Freeze() (*FlatTree, error) {
-	total := 0
-	for v := range t.Labels {
-		total += len(t.Labels[v].Entries)
-	}
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("labeling: freeze: %d entries exceed the int32 CSR index space", total)
-	}
-	f := &FlatTree{
-		off:      make([]int32, t.n+1),
-		centroid: make([]int32, 0, total),
-		dist:     make([]float64, 0, total),
-		n:        t.n,
-		depth:    t.depth,
-	}
-	for v := range t.Labels {
-		prev := int32(-1)
-		for _, e := range t.Labels[v].Entries {
-			if e.Centroid <= prev {
-				return nil, fmt.Errorf("labeling: freeze: label %d entries not in increasing centroid order", v)
-			}
-			prev = e.Centroid
-			f.centroid = append(f.centroid, e.Centroid)
-			f.dist = append(f.dist, e.Dist)
-		}
-		f.off[v+1] = int32(len(f.centroid))
-	}
-	return f, nil
-}
-
-// N returns the number of labeled vertices.
-func (f *FlatTree) N() int { return f.n }
-
-// Depth returns the centroid-decomposition depth.
-func (f *FlatTree) Depth() int { return f.depth }
-
-// NumEntries returns the total entry count across all labels.
-func (f *FlatTree) NumEntries() int { return len(f.centroid) }
-
-// Query returns the exact tree distance between u and v, bit-identical to
-// TreeLabeling.Query. Allocation-free; out-of-range IDs report +Inf.
-//
-//pathsep:hotpath
-func (f *FlatTree) Query(u, v int) float64 {
-	if u < 0 || v < 0 || u >= f.n || v >= f.n {
-		return math.Inf(1)
-	}
-	if u == v {
-		return 0
-	}
-	best := math.Inf(1)
-	i, iEnd := f.off[u], f.off[u+1]
-	j, jEnd := f.off[v], f.off[v+1]
-	for i < iEnd && j < jEnd {
-		a, b := f.centroid[i], f.centroid[j]
-		switch {
-		case a == b:
-			if s := f.dist[i] + f.dist[j]; s < best {
-				best = s
-			}
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
-		}
-	}
-	return best
-}
-
 // MaxLabelSize returns the largest label length — O(log n) by the
 // halving of centroid decompositions.
 func (t *TreeLabeling) MaxLabelSize() int {

@@ -207,87 +207,29 @@ func TestQueryPathRejectsCorruptHops(t *testing.T) {
 	}
 }
 
-// TestFlatTreeMatchesPointer freezes labelings of several tree families
-// and checks Query bit-identity against TreeLabeling.Query for every pair,
-// including self and out-of-range IDs, plus the accessor bookkeeping and
-// the zero-allocation contract of the frozen form.
-func TestFlatTreeMatchesPointer(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for name, g := range map[string]*graph.Graph{
-		"path":   graph.Path(33, graph.UniformWeights(1, 3), rng),
-		"random": graph.RandomTree(80, graph.UniformWeights(0.5, 5), rng),
-		"star":   graph.Star(40, graph.UniformWeights(1, 2), rng),
-		"binary": graph.BinaryTree(63, graph.UnitWeights(), rng),
-	} {
-		l, err := BuildTree(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := l.Freeze()
-		if err != nil {
-			t.Fatalf("%s: freeze: %v", name, err)
-		}
-		if f.N() != g.N() || f.Depth() != l.Depth() {
-			t.Fatalf("%s: N/Depth = %d/%d, want %d/%d", name, f.N(), f.Depth(), g.N(), l.Depth())
-		}
-		entries := 0
-		for v := range l.Labels {
-			entries += len(l.Labels[v].Entries)
-		}
-		if f.NumEntries() != entries {
-			t.Fatalf("%s: NumEntries = %d, want %d", name, f.NumEntries(), entries)
-		}
-		n := g.N()
-		for u := -1; u <= n; u++ {
-			for v := -1; v <= n; v++ {
-				got, want := f.Query(u, v), l.Query(u, v)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: Query(%d,%d) = %v, pointer %v", name, u, v, got, want)
-				}
-			}
-		}
-		if allocs := testing.AllocsPerRun(100, func() { f.Query(0, n-1) }); allocs != 0 {
-			t.Fatalf("%s: FlatTree.Query allocated %.1f times", name, allocs)
-		}
-	}
-}
-
-// TestFlatTreeQueryBounds is the bounds-hardening parity regression: the
-// frozen tree labeling must reject out-of-range vertex ids exactly the
-// way Oracle.Query and TreeLabeling.Query do — +Inf, never a panic —
-// including extreme ids whose offsets would wrap.
-func TestFlatTreeQueryBounds(t *testing.T) {
+// TestTreeLabelingQueryBounds is the bounds-hardening regression:
+// Query and QueryPath must reject out-of-range vertex ids — +Inf and an
+// empty path, never a panic — including extreme ids whose offsets would
+// wrap.
+func TestTreeLabelingQueryBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, err := BuildTree(graph.RandomTree(25, graph.UniformWeights(1, 4), rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := l.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := f.N()
+	n := len(l.Labels)
+	var buf []int32
 	for _, pair := range [][2]int{
 		{-1, 0}, {0, -1}, {n, 0}, {0, n}, {n + 7, -3},
 		{math.MinInt, 0}, {0, math.MaxInt}, {math.MaxInt, math.MinInt},
 	} {
-		if d := f.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
-			t.Fatalf("FlatTree.Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
+		if d := l.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
+			t.Fatalf("Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
 		}
-	}
-}
-
-// TestFlatTreeFreezeRejectsMisorder pins the merge-join invariant: Freeze
-// must refuse labels whose entries are not in increasing centroid order.
-func TestFlatTreeFreezeRejectsMisorder(t *testing.T) {
-	bad := &TreeLabeling{
-		Labels: []TreeLabel{
-			{Entries: []Entry{{Centroid: 1, Dist: 0}, {Centroid: 0, Dist: 1}}},
-			{Entries: []Entry{{Centroid: 0, Dist: 1}}},
-		},
-		n: 2,
-	}
-	if _, err := bad.Freeze(); err == nil {
-		t.Fatal("misordered label accepted")
+		d, p, err := l.QueryPath(pair[0], pair[1], buf)
+		if err != nil || !math.IsInf(d, 1) || len(p) != 0 {
+			t.Fatalf("QueryPath(%d,%d) = %v %v %v, want +Inf, empty, nil", pair[0], pair[1], d, p, err)
+		}
+		buf = p
 	}
 }

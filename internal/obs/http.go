@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 // RegisterDebug mounts the observability endpoints for r on mux:
@@ -96,6 +97,11 @@ func Publish(r *Registry) error {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send one
+// request's headers, so a slow-header client cannot hold a goroutine
+// forever; idle keep-alive connections between requests are unaffected.
+const readHeaderTimeout = 5 * time.Second
+
 // Serve binds addr and serves RegisterDebug's endpoints for r on a
 // private mux in a background goroutine. It returns once the listener is
 // bound — a bad address fails here, not asynchronously — and the caller
@@ -117,7 +123,7 @@ func Serve(addr string, r *Registry) (*http.Server, <-chan struct{}, error) {
 	}
 	mux := http.NewServeMux()
 	RegisterDebug(mux, r)
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	go func() {
 		// Serve returns http.ErrServerClosed on Shutdown/Close; any other

@@ -21,6 +21,9 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatal("debug server sets no ReadHeaderTimeout: a slow-header client holds a goroutine forever")
+	}
 	base := "http://" + srv.Addr
 
 	get := func(path string) (int, string) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"pathsep/internal/par"
 )
 
-// Flat is the compiled read-only query form of an Oracle: the same labels
-// re-laid-out as a struct-of-arrays so the query hot path touches only
-// contiguous memory.
+// Flat is the compiled read-only form of an Oracle's labels and the one
+// type that answers queries: distance (Query, QueryBatch), witness path
+// (QueryPath) and stretch audit (Audit). The labels are re-laid-out as a
+// struct-of-arrays so the query hot path touches only contiguous memory.
 //
 //   - Every distinct separator-path Key across all labels is interned into
 //     keys (sorted by keyLess); entries refer to keys by their dense int32
@@ -23,12 +25,12 @@ import (
 //     portalOff[e]..portalOff[e+1] of the single contiguous portal pool.
 //
 // A Flat is immutable after Freeze/DecodeFlat, so Query and QueryBatch are
-// safe for unbounded concurrent use. Queries return bit-identical results
-// to the pointer-walking Oracle.Query: the merge-join visits shared keys in
-// the same order, and the portal sweep evaluates exactly the candidate
-// values pairMin evaluates — the per-portal terms fl(Dist+Pos) and
-// fl(Dist−Pos) are precomputed once (with pairMin's own rounding) into
-// the sweep lane, so every float64 comparison sees the same bits.
+// safe for unbounded concurrent use. Query returns bit-identical results
+// to QueryLabels over the source labels: the merge-join visits shared
+// keys in the same order, and the portal sweep evaluates exactly the
+// candidate values pairMin evaluates — the per-portal terms fl(Dist+Pos)
+// and fl(Dist−Pos) are precomputed once (with pairMin's own rounding)
+// into the sweep lane, so every float64 comparison sees the same bits.
 type Flat struct {
 	n    int
 	eps  float64
@@ -103,7 +105,7 @@ type Flat struct {
 // records are inconsistent (see freezePaths).
 func (o *Oracle) Freeze() (*Flat, error) {
 	// Intern keys: collect the distinct Key set and rank it by keyLess, so
-	// ID order coincides with the order the pointer merge-join visits keys.
+	// ID order coincides with the order queryLabels' merge-join visits keys.
 	seen := make(map[Key]int32)
 	var keys []Key
 	numEntries, numPortals := 0, 0
@@ -158,7 +160,7 @@ func (o *Oracle) Freeze() (*Flat, error) {
 // derive materializes the sweep lane. The sums and differences are
 // rounded here exactly as pairMin rounds them (left-associated
 // fl(Dist+Pos), fl(Dist−Pos)), so the sweep's candidate values — and
-// therefore Query answers — stay bit-identical to the pointer form.
+// therefore Query answers — stay bit-identical to QueryLabels.
 // Record x's smin precomputes the min of fl(Dist+Pos) over the run's
 // suffix [x, k): min is exact (no rounding), so the query-time fold
 // fl(diff_consumed + smin_other) equals the min of the pairwise
@@ -350,11 +352,29 @@ func (f *Flat) PortalRunLengths(dst []int) []int {
 	return dst
 }
 
+// Label returns a copy of v's label as the distributed scheme carries it:
+// its entries' keys and portals, without hop records. QueryLabels over
+// two such labels answers the query Flat.Query answers, bit for bit. An
+// out-of-range v has the empty label.
+func (f *Flat) Label(v int) Label {
+	if v < 0 || v >= f.n {
+		return Label{}
+	}
+	lo, hi := int(f.entryOff[v]), int(f.entryOff[v+1])
+	l := Label{Entries: make([]Entry, hi-lo)}
+	for e := lo; e < hi; e++ {
+		l.Entries[e-lo] = Entry{
+			Key:     f.keys[f.entryKey[e]],
+			Portals: slices.Clone(f.portals[f.portalOff[e]:f.portalOff[e+1]]),
+		}
+	}
+	return l
+}
+
 // SetMetrics attaches (or, with nil, detaches) serving metrics:
-// "oracle.query_ns" and "oracle.query_portals" observe single queries
-// (same instruments as the pointer oracle), "oracle.batch_qps" records the
-// throughput of the last QueryBatch, and "oracle.flat_bytes" is set once
-// to the encoded size of this Flat.
+// "oracle.query_ns" and "oracle.query_portals" observe single queries,
+// "oracle.batch_qps" records the throughput of the last QueryBatch, and
+// "oracle.flat_bytes" is set once to the encoded size of this Flat.
 func (f *Flat) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		f.qLatency, f.qPortals, f.batchQPS = nil, nil, nil
@@ -373,11 +393,12 @@ func (f *Flat) SetMetrics(reg *obs.Registry) {
 // is allocation-free too.
 func (f *Flat) SetSlowSampler(s *obs.SlowQuerySampler) { f.slow = s }
 
-// Query returns the same (1+ε)-approximate distance as the source
-// Oracle.Query, bit for bit. It is goroutine-safe and allocation-free;
-// malformed vertex IDs report +Inf. With metrics or a slow-query sampler
-// attached it observes the query latency and portal work, including on
-// the u == v fast path.
+// Query returns a (1+ε)-approximate distance between u and v, or +Inf if
+// they are disconnected: bit for bit the QueryLabels answer over the two
+// vertices' labels, and 0 when u == v. It is goroutine-safe and
+// allocation-free; malformed vertex IDs report +Inf. With metrics or a
+// slow-query sampler attached it observes the query latency and portal
+// work, including on the u == v fast path.
 func (f *Flat) Query(u, v int) float64 {
 	if u < 0 || v < 0 || u >= f.n || v >= f.n {
 		return math.Inf(1)
@@ -517,7 +538,7 @@ func (f *Flat) answerRange(pairs []Pair, out []float64, lo, hi int) {
 // result is returned, so callers amortize to zero allocations by passing
 // the previous batch's slice back in. Each worker answers its own chunk
 // of slots, so results are identical to calling Query per pair (and
-// therefore to Oracle.Query), for every worker count and every caller
+// therefore to QueryLabels), for every worker count and every caller
 // ordering. With metrics attached, the batch records its throughput in
 // the "oracle.batch_qps" gauge; per-query histograms are not touched.
 func (f *Flat) QueryBatch(pairs []Pair, out []float64) []float64 {

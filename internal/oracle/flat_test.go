@@ -13,8 +13,8 @@ import (
 	"pathsep/internal/obs"
 )
 
-// buildSeeded builds a pointer oracle over a seeded random graph: a tree
-// for even seeds, a sparse connected graph for odd ones.
+// buildSeeded builds the label set over a seeded random graph: a tree for
+// even seeds, a sparse connected graph for odd ones.
 func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Oracle) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -33,6 +33,29 @@ func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Or
 		tb.Fatal(err)
 	}
 	return g, o
+}
+
+// labelQuery is the reference every Flat.Query answer is held to: +Inf
+// for malformed IDs, 0 for u == v, and otherwise QueryLabels over the
+// build's two labels — the distributed scheme of Theorem 2.
+func labelQuery(o *Oracle, u, v int) float64 {
+	if u < 0 || v < 0 || u >= o.N || v >= o.N {
+		return math.Inf(1)
+	}
+	if u == v {
+		return 0
+	}
+	return QueryLabels(&o.Labels[u], &o.Labels[v])
+}
+
+// mustFreeze freezes o, failing the test on error.
+func mustFreeze(tb testing.TB, o *Oracle) *Flat {
+	tb.Helper()
+	fl, err := o.Freeze()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fl
 }
 
 // TestFreezeRoundTrip pins the flat accessors and the exact Encode /
@@ -65,45 +88,33 @@ func TestFreezeRoundTrip(t *testing.T) {
 	}
 	for u := 0; u < o.N; u++ {
 		for v := 0; v < o.N; v++ {
-			if math.Float64bits(dec.Query(u, v)) != math.Float64bits(o.Query(u, v)) {
-				t.Fatalf("decoded Query(%d,%d) = %v, oracle %v", u, v, dec.Query(u, v), o.Query(u, v))
+			if want := labelQuery(o, u, v); math.Float64bits(dec.Query(u, v)) != math.Float64bits(want) {
+				t.Fatalf("decoded Query(%d,%d) = %v, labels %v", u, v, dec.Query(u, v), want)
 			}
 		}
 	}
 }
 
-// TestFlatSelfQueryObserved checks the metrics parity of the fast paths:
-// both the pointer oracle and the flat form must observe self queries, so
-// QPS accounting covers all traffic.
+// TestFlatSelfQueryObserved checks the metrics of the fast paths: the
+// self-query path must be observed, so QPS accounting covers all
+// traffic, and malformed IDs must not be.
 func TestFlatSelfQueryObserved(t *testing.T) {
 	_, o := buildSeeded(t, 2, 30, CoverExact)
 	reg := obs.New()
-	o.SetMetrics(reg)
-	fl, err := o.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := mustFreeze(t, o)
 	fl.SetMetrics(reg)
 
 	lat := reg.Histogram("oracle.query_ns")
 	base := lat.Count()
-	if got := o.Query(3, 3); !core.IsZeroDist(got) {
-		t.Fatalf("Query(3,3) = %v", got)
-	}
-	if lat.Count() != base+1 {
-		t.Fatalf("self query not observed by Oracle.Query: count %d, want %d", lat.Count(), base+1)
-	}
 	if got := fl.Query(3, 3); !core.IsZeroDist(got) {
 		t.Fatalf("Flat.Query(3,3) = %v", got)
 	}
-	if lat.Count() != base+2 {
-		t.Fatalf("self query not observed by Flat.Query: count %d, want %d", lat.Count(), base+2)
+	if lat.Count() != base+1 {
+		t.Fatalf("self query not observed by Flat.Query: count %d, want %d", lat.Count(), base+1)
 	}
-	// Out-of-range queries stay unobserved on both surfaces.
-	o.Query(-1, 3)
 	fl.Query(-1, 3)
-	if lat.Count() != base+2 {
-		t.Fatalf("out-of-range query observed: count %d, want %d", lat.Count(), base+2)
+	if lat.Count() != base+1 {
+		t.Fatalf("out-of-range query observed: count %d, want %d", lat.Count(), base+1)
 	}
 	if reg.Gauge("oracle.flat_bytes").Value() != int64(fl.EncodedSize()) {
 		t.Fatalf("oracle.flat_bytes = %d, want %d", reg.Gauge("oracle.flat_bytes").Value(), fl.EncodedSize())
@@ -300,8 +311,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // FuzzFlatRoundTrip drives Freeze → Encode → DecodeFlat over seeded
-// random graphs and checks query equivalence against the pointer oracle
-// on sampled pairs (including self and out-of-range IDs).
+// random graphs and checks query equivalence against QueryLabels over the
+// build's labels on sampled pairs (including self and out-of-range IDs).
 func FuzzFlatRoundTrip(f *testing.F) {
 	f.Add(int64(2), uint8(24), false)
 	f.Add(int64(3), uint8(31), true)
@@ -325,12 +336,12 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for q := 0; q < 200; q++ {
 			u, v := rng.Intn(n+2)-1, rng.Intn(n+2)-1
-			want := o.Query(u, v)
+			want := labelQuery(o, u, v)
 			if got := fl.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("frozen Query(%d,%d) = %v, oracle %v", u, v, got, want)
+				t.Fatalf("frozen Query(%d,%d) = %v, labels %v", u, v, got, want)
 			}
 			if got := dec.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("decoded Query(%d,%d) = %v, oracle %v", u, v, got, want)
+				t.Fatalf("decoded Query(%d,%d) = %v, labels %v", u, v, got, want)
 			}
 		}
 	})

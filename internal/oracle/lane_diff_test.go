@@ -2,7 +2,7 @@
 //
 // Freeze/DecodeFlat derive per-entry lanes (pos, diff, suffix-min) from
 // the portal pool, and the distance sweep folds over those. These tests
-// pin the lane to its AoS source of truth — the pointer oracle's
+// pin the lane to its AoS source of truth — the build label set's
 // []Portal runs — field by field and fold by fold, across three graph
 // families and both modes:
 //

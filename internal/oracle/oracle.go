@@ -1,6 +1,9 @@
 // Package oracle implements Theorem 2 of the paper: (1+ε)-approximate
 // distance labels and the distance oracle they form, built on the k-path
-// separator decomposition tree.
+// separator decomposition tree. Build produces the label set (Oracle);
+// Freeze compiles it into Flat, the one form that answers distance, path
+// and audit queries. QueryLabels is the distributed form: two labels
+// alone answer a query.
 //
 // For every node H of the decomposition tree, every phase i of its
 // separator, and every path Q of phase i, a vertex w that survives phases
@@ -25,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"pathsep/internal/core"
 	"pathsep/internal/graph"
@@ -68,9 +70,8 @@ type Options struct {
 	// CoverPortal mode; 0 means ceil(4/ε).
 	PortalsPerPath int
 	// Metrics, when non-nil, receives build-time accounting under
-	// "oracle.*", "shortest.*" and "build.*" and attaches query-time
-	// latency and portal histograms to the oracle (equivalent to calling
-	// SetMetrics).
+	// "oracle.*", "shortest.*" and "build.*". Query-time instruments
+	// attach to the serving form (Flat.SetMetrics).
 	Metrics *obs.Registry
 	// Workers bounds the worker pool that fans out the per-separator-path
 	// (and, in CoverExact mode, per-vertex) Dijkstra tasks. Task outputs
@@ -144,34 +145,19 @@ type sepPath struct {
 	pos   []float64
 }
 
-// Oracle is the centralized distance oracle: all labels plus the
-// decomposition tree metadata.
+// Oracle is Build's output: every vertex's label (with its hop records)
+// and the separator-path geometry. It answers no queries itself; Freeze
+// compiles it into the Flat serving form.
 type Oracle struct {
 	Labels []Label
 	N      int
 	Eps    float64
 	mode   Mode
-	// paths holds every separator path sorted by keyLess; QueryPath reads
-	// the middle segment of a reported walk off it. pos aliases the
-	// planning pass's prefix sums, so positions match portal Pos values
-	// bit for bit.
+	// paths holds every separator path sorted by keyLess; freezePaths
+	// copies it into the image's path geometry. pos aliases the planning
+	// pass's prefix sums, so positions match portal Pos values bit for
+	// bit.
 	paths []sepPath
-	// Query-time instruments, cached so the hot path costs one nil check
-	// when metrics are disabled. Set via SetMetrics / Options.Metrics.
-	qLatency *obs.Histogram
-	qPortals *obs.Histogram
-}
-
-// SetMetrics attaches (or, with nil, detaches) query-time metrics:
-// "oracle.query_ns" observes per-query latency and
-// "oracle.query_portals" the number of portals compared per query.
-func (o *Oracle) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		o.qLatency, o.qPortals = nil, nil
-		return
-	}
-	o.qLatency = reg.Histogram("oracle.query_ns")
-	o.qPortals = reg.Histogram("oracle.query_portals")
 }
 
 // rec is one deferred label entry produced by a parallel build task:
@@ -184,7 +170,7 @@ type rec struct {
 	h int32
 }
 
-// Build constructs the oracle from a decomposition tree.
+// Build constructs the label set from a decomposition tree.
 //
 // Construction is a three-stage pipeline. A serial planning pass walks the
 // tree, builds every residual graph J and path geometry, emits the
@@ -193,9 +179,9 @@ type rec struct {
 // vertex in CoverExact mode. The tasks then fan out on a bounded worker
 // pool (Options.Workers), each returning its label records into its own
 // slot, and a serial merge pass replays the slots in task order. Labels
-// are canonicalized by normalizeLabel, so the encoded oracle is
+// are canonicalized by normalizeLabel, so the frozen image is
 // bit-identical for every worker count — the differential tests compare
-// Encode() bytes of workers=1 and workers=N builds.
+// Freeze().Encode() bytes of workers=1 and workers=N builds.
 func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if !(opt.Epsilon > 0) || math.IsInf(opt.Epsilon, 1) {
 		return nil, fmt.Errorf("oracle: epsilon must be positive and finite, got %v", opt.Epsilon)
@@ -398,7 +384,6 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 		m.Gauge("oracle.labels").Set(int64(o.N))
 		m.Gauge("oracle.portal_words").Set(int64(o.SpacePortals()))
 		m.Gauge("oracle.max_label_portals").Set(int64(o.MaxLabelPortals()))
-		o.SetMetrics(m)
 	}
 	return o, nil
 }
@@ -521,38 +506,6 @@ func normalizeLabel(l *Label) {
 	}
 }
 
-// Query returns a (1+ε)-approximate distance between u and v, or +Inf if
-// they are disconnected. Out-of-range or negative vertex IDs also report
-// +Inf ("not locatable") rather than panicking — the oracle is the public
-// query surface, so malformed input degrades gracefully. With metrics
-// attached (SetMetrics) it also observes the query latency and the number
-// of portals compared; the disabled path is a single bounds-and-nil check
-// and allocation-free.
-func (o *Oracle) Query(u, v int) float64 {
-	if u < 0 || v < 0 || u >= len(o.Labels) || v >= len(o.Labels) {
-		return math.Inf(1)
-	}
-	if o.qLatency == nil {
-		if u == v {
-			return 0
-		}
-		est, _ := queryLabels(&o.Labels[u], &o.Labels[v])
-		return est
-	}
-	start := time.Now()
-	// Self queries are answered on a fast path but still observed (zero
-	// portals compared), so QPS and latency numbers reflect all traffic.
-	if u == v {
-		o.qLatency.Observe(float64(time.Since(start)))
-		o.qPortals.Observe(0)
-		return 0
-	}
-	est, portals := queryLabels(&o.Labels[u], &o.Labels[v])
-	o.qLatency.Observe(float64(time.Since(start)))
-	o.qPortals.Observe(float64(portals))
-	return est
-}
-
 // QueryLabels answers an approximate distance query from two labels alone
 // (the distributed scheme): the minimum over shared separator paths of the
 // best portal-pair estimate. Nil labels report +Inf.
@@ -560,23 +513,22 @@ func QueryLabels(lu, lv *Label) float64 {
 	if lu == nil || lv == nil {
 		return math.Inf(1)
 	}
-	est, _ := queryLabels(lu, lv)
-	return est
+	return queryLabels(lu, lv)
 }
 
-// queryLabels is QueryLabels plus the number of portals examined (the
-// query's work, reported by the oracle.query_portals histogram).
+// queryLabels is QueryLabels on non-nil labels: the merge-join over
+// shared keys folding pairMin. Flat.query visits the same keys in the
+// same order and evaluates the same candidates, so Flat.Query equals it
+// bit for bit.
 //
 //pathsep:hotpath
-func queryLabels(lu, lv *Label) (float64, int) {
+func queryLabels(lu, lv *Label) float64 {
 	best := math.Inf(1)
-	portals := 0
 	i, j := 0, 0
 	for i < len(lu.Entries) && j < len(lv.Entries) {
 		a, b := lu.Entries[i], lv.Entries[j]
 		switch {
 		case a.Key == b.Key:
-			portals += len(a.Portals) + len(b.Portals)
 			if est := pairMin(a.Portals, b.Portals); est < best {
 				best = est
 			}
@@ -588,7 +540,7 @@ func queryLabels(lu, lv *Label) (float64, int) {
 			j++
 		}
 	}
-	return best, portals
+	return best
 }
 
 // pairMin computes min over portals p in a, q in b of
@@ -662,15 +614,15 @@ type AuditResult struct {
 // of the test-suite stretch audit, reusable by experiments and CLIs. The
 // per-pair Dijkstras fan out across runtime.GOMAXPROCS(0) workers; use
 // AuditWorkers to pin the width.
-func (o *Oracle) Audit(g *graph.Graph, pairs int, next func(n int) int) AuditResult {
-	return o.AuditWorkers(g, pairs, next, 0)
+func (f *Flat) Audit(g *graph.Graph, pairs int, next func(n int) int) AuditResult {
+	return f.AuditWorkers(g, pairs, next, 0)
 }
 
 // AuditWorkers is Audit with an explicit worker-pool width (0 means
 // runtime.GOMAXPROCS(0), 1 is fully serial). All pairs are drawn from
 // next() serially up front and the ratios are reduced in draw order, so
 // the result is bit-identical for every worker count.
-func (o *Oracle) AuditWorkers(g *graph.Graph, pairs int, next func(n int) int, workers int) AuditResult {
+func (f *Flat) AuditWorkers(g *graph.Graph, pairs int, next func(n int) int, workers int) AuditResult {
 	type slot struct {
 		ratio float64
 		under bool
@@ -679,7 +631,7 @@ func (o *Oracle) AuditWorkers(g *graph.Graph, pairs int, next func(n int) int, w
 	type pair struct{ u, v int }
 	ps := make([]pair, pairs)
 	for i := range ps {
-		ps[i] = pair{next(o.N), next(o.N)}
+		ps[i] = pair{next(f.n), next(f.n)}
 	}
 	slots := make([]slot, pairs)
 
@@ -693,7 +645,7 @@ func (o *Oracle) AuditWorkers(g *graph.Graph, pairs int, next func(n int) int, w
 		if math.IsInf(d, 1) || core.IsZeroDist(d) {
 			return
 		}
-		est := o.Query(u, v)
+		est := f.Query(u, v)
 		slots[i] = slot{ratio: est / d, under: est < d-1e-9, ok: true}
 	})
 	pool.Finish()

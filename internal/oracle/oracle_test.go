@@ -11,21 +11,22 @@ import (
 	"pathsep/internal/shortest"
 )
 
-// auditStretch checks every pair (u,v): Query >= true distance, and in
-// exact mode Query <= (1+eps) * true distance.
+// auditStretch freezes o and checks every pair (u,v): Query >= true
+// distance, and in exact mode Query <= (1+eps) * true distance.
 func auditStretch(t *testing.T, g *graph.Graph, o *Oracle, eps float64, guarantee bool) (worst float64) {
 	t.Helper()
+	fl := mustFreeze(t, o)
 	for u := 0; u < g.N(); u++ {
 		tr := shortest.Dijkstra(g, u)
 		for v := 0; v < g.N(); v++ {
 			if u == v {
-				if got := o.Query(u, v); got != 0 {
+				if got := fl.Query(u, v); got != 0 {
 					t.Fatalf("Query(%d,%d) = %v, want 0", u, v, got)
 				}
 				continue
 			}
 			d := tr.Dist[v]
-			est := o.Query(u, v)
+			est := fl.Query(u, v)
 			if math.IsInf(d, 1) {
 				if !math.IsInf(est, 1) {
 					t.Fatalf("Query(%d,%d) = %v for disconnected pair", u, v, est)
@@ -152,10 +153,11 @@ func TestDisconnectedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Query(0, 5); !math.IsInf(got, 1) {
+	fl := mustFreeze(t, o)
+	if got := fl.Query(0, 5); !math.IsInf(got, 1) {
 		t.Fatalf("Query across components = %v, want +Inf", got)
 	}
-	if got := o.Query(0, 2); math.Abs(got-2) > 1e-9 {
+	if got := fl.Query(0, 2); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("Query(0,2) = %v, want 2", got)
 	}
 }
@@ -256,7 +258,7 @@ func TestAuditAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	r := embed.Grid(6, 6, graph.UniformWeights(1, 3), rng)
 	o := buildFor(t, r.G, r, Options{Epsilon: 0.25, Mode: CoverExact})
-	res := o.Audit(r.G, 200, rng.Intn)
+	res := mustFreeze(t, o).Audit(r.G, 200, rng.Intn)
 	if res.Pairs == 0 {
 		t.Fatal("no pairs audited")
 	}

@@ -1,8 +1,9 @@
 // Path reporting: the per-portal hop records laid down at build time
 // turn the distance oracle into a path-reporting one (after the style of
-// Elkin–Neiman–Wulff-Nilsen). A query first runs the usual merge-join,
-// tracking the argmin instead of just the min; the reported walk is then
-// assembled in O(len(path)): follow the u-side hop chain to its anchor
+// Elkin–Neiman–Wulff-Nilsen). Flat.QueryPath first runs the usual
+// merge-join, tracking the argmin instead of just the min (queryArg
+// folding pairMinArg); the reported walk is then assembled in
+// O(len(path)): follow the u-side hop chain to its anchor
 // on the certifying separator path, read the path's own vertices between
 // the two anchors off the stored geometry, and append the v-side chain
 // reversed. Every hop record's distance is an exact shortest distance to
@@ -71,31 +72,6 @@ func pairMinArg(a, b []Portal) (float64, int, int) {
 	return best, bestA, bestB
 }
 
-// queryLabelsArg is queryLabels plus the argmin: the entry and portal
-// indices on each side whose portal pair achieved the minimum.
-func queryLabelsArg(lu, lv *Label) (float64, int, int, int, int) {
-	best := math.Inf(1)
-	entA, entB, pA, pB := -1, -1, -1, -1
-	i, j := 0, 0
-	for i < len(lu.Entries) && j < len(lv.Entries) {
-		a, b := lu.Entries[i], lv.Entries[j]
-		switch {
-		case a.Key == b.Key:
-			if est, ai, bi := pairMinArg(a.Portals, b.Portals); est < best {
-				best = est
-				entA, entB, pA, pB = i, j, ai, bi
-			}
-			i++
-			j++
-		case keyLess(a.Key, b.Key):
-			i++
-		default:
-			j++
-		}
-	}
-	return best, entA, entB, pA, pB
-}
-
 // pathIndexAt locates the path index whose position equals p and whose
 // vertex is the walked-to anchor. Positions are copied bit-for-bit from
 // the same prefix sums into both the portal records and the geometry, so
@@ -110,129 +86,12 @@ func pathIndexAt(pos []float64, verts []int32, p float64, anchor int32) (int, er
 	return 0, errPathGeometry
 }
 
-func reverseInt32(s []int32) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// joinSegments splices the three pieces of a reported walk already
-// appended to out — [u..anchorA] then [v..anchorB, mid(B→A exclusive)]
-// from mark on — into [u..anchorA, mid(A→B), anchorB..v], dropping the
-// duplicated anchor when the two chains meet at the same path vertex.
-func joinSegments(out []int32, mark int) []int32 {
-	reverseInt32(out[mark:])
-	if out[mark-1] == out[mark] {
-		copy(out[mark:], out[mark+1:])
-		out = out[:len(out)-1]
-	}
-	return out
-}
-
-// findEntry locates the entry for k in a label (entries sorted by key).
-func findEntry(l *Label, k Key) *Entry {
-	x := sort.Search(len(l.Entries), func(i int) bool { return !keyLess(l.Entries[i].Key, k) })
-	if x < len(l.Entries) && l.Entries[x].Key == k {
-		return &l.Entries[x]
-	}
-	return nil
-}
-
-// walkChain appends the hop chain from vertex w to its anchor on path k
-// at position pos: w itself, every intermediate vertex, and the anchor.
-// The step bound turns a corrupt (cyclic) hop table into an error
-// instead of an unbounded loop.
-func (o *Oracle) walkChain(out []int32, w int, k Key, pos float64) ([]int32, int32, error) {
-	for steps := 0; steps <= o.N; steps++ {
-		out = append(out, int32(w))
-		e := findEntry(&o.Labels[w], k)
-		if e == nil || len(e.Hops) != len(e.Portals) {
-			return out, -1, errPathRecord
-		}
-		ps := e.Portals
-		x := sort.Search(len(ps), func(i int) bool { return ps[i].Pos >= pos })
-		if x == len(ps) || !core.SameDist(ps[x].Pos, pos) {
-			return out, -1, errPathRecord
-		}
-		h := e.Hops[x]
-		if h < 0 {
-			return out, int32(w), nil
-		}
-		if int(h) >= o.N {
-			return out, -1, errPathRecord
-		}
-		w = int(h)
-	}
-	return out, -1, errPathCycle
-}
-
-// QueryPath returns the same (1+ε)-approximate distance as Query
-// together with a witness walk from u to v realizing it, appended into
-// buf (which may be nil; pass the returned slice back in to amortize
-// allocations away). The walk starts at u, ends at v, steps only along
-// graph edges, and its weight equals the returned distance up to float
-// rounding. Out-of-range vertex IDs and disconnected pairs report
-// (+Inf, empty, nil).
-func (o *Oracle) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
-	out := buf[:0]
-	if u < 0 || v < 0 || u >= len(o.Labels) || v >= len(o.Labels) {
-		return math.Inf(1), out, nil
-	}
-	if u == v {
-		return 0, append(out, int32(u)), nil
-	}
-	est, entA, entB, pA, pB := queryLabelsArg(&o.Labels[u], &o.Labels[v])
-	if math.IsInf(est, 1) {
-		return est, out, nil
-	}
-	ea := &o.Labels[u].Entries[entA]
-	eb := &o.Labels[v].Entries[entB]
-	k := ea.Key
-	posA := ea.Portals[pA].Pos
-	posB := eb.Portals[pB].Pos
-	pi := sort.Search(len(o.paths), func(i int) bool { return !keyLess(o.paths[i].key, k) })
-	if pi == len(o.paths) || o.paths[pi].key != k {
-		return est, out, errPathRecord
-	}
-	sp := &o.paths[pi]
-	out, aU, err := o.walkChain(out, u, k, posA)
-	if err != nil {
-		return est, out, err
-	}
-	ia, err := pathIndexAt(sp.pos, sp.verts, posA, aU)
-	if err != nil {
-		return est, out, err
-	}
-	mark := len(out)
-	out, aV, err := o.walkChain(out, v, k, posB)
-	if err != nil {
-		return est, out, err
-	}
-	ib, err := pathIndexAt(sp.pos, sp.verts, posB, aV)
-	if err != nil {
-		return est, out, err
-	}
-	// Middle segment appended anchor-B-to-anchor-A exclusive; the join
-	// reverses the tail into place.
-	if ia < ib {
-		for x := ib - 1; x > ia; x-- {
-			out = append(out, sp.verts[x])
-		}
-	} else {
-		for x := ib + 1; x < ia; x++ {
-			out = append(out, sp.verts[x])
-		}
-	}
-	return est, joinSegments(out, mark), nil
-}
-
-// queryArg is queryLabelsArg over the flat image: the same int32 key
-// merge as query, calling pairMinArg on each matched pair's stored
-// portal runs, and returning the key ID and the two portal-pool indices
-// whose combination achieved the minimum. Keys are visited in keyLess
-// order and every fold is pairMinArg's, so the distance and the chosen
-// portal pair equal Oracle.QueryPath's by construction; the distance
-// also equals query's bit for bit (pairMin and sweepRec evaluate the
+// queryArg is query plus the argmin: the same int32 key merge, calling
+// pairMinArg on each matched pair's stored portal runs, and returning
+// the key ID and the two portal-pool indices whose combination achieved
+// the minimum. Keys are visited in keyLess order and every fold is
+// pairMinArg's, whose minimum is pairMin's bit for bit, so the distance
+// equals QueryLabels' and query's (pairMin and sweepRec evaluate the
 // same candidates). A finite minimum always names real indices on
 // both sides: Dist and Pos are never negative (Build measures them, and
 // validate rejects decoded images otherwise), so a candidate without a

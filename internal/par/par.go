@@ -1,6 +1,6 @@
 // Package par is the bounded deterministic worker pool behind the
 // parallel construction pipeline (core.Decompose, oracle.Build,
-// Oracle.Audit). It deliberately provides only fork/join primitives whose
+// Flat.Audit). It deliberately provides only fork/join primitives whose
 // results land in caller-indexed slots, so parallel runs are bit-identical
 // to serial ones: tasks may execute in any order on any worker, but every
 // task writes only to its own index and callers merge the slots in a

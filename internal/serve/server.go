@@ -35,6 +35,13 @@ import (
 // Config.MaxBatch is zero.
 const DefaultMaxBatch = 1 << 16
 
+// readHeaderTimeout bounds how long a client may take to send one
+// request's headers, so a client that trickles them (slowloris) is cut
+// off instead of holding a goroutine forever. net/http starts the clock
+// when a request's first byte arrives: idle keep-alive connections
+// between requests are not affected.
+const readHeaderTimeout = 5 * time.Second
+
 // Config assembles a Server.
 type Config struct {
 	// Flat is the image to serve. Required. New attaches serving metrics
@@ -160,7 +167,7 @@ func New(cfg Config) (*Server, error) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	obs.RegisterDebug(s.mux, reg)
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s, nil
 }
 

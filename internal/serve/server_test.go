@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -521,5 +524,76 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Flat: testFlat(t), MaxBatch: -1}); err == nil {
 		t.Fatal("New with negative MaxBatch must fail")
+	}
+}
+
+// TestSlowHeaderClientCutOff pins the slowloris defence: a raw TCP
+// client that sends part of a request's headers and then stalls is
+// disconnected once the header timeout passes, while a keep-alive
+// connection left idle for longer than that timeout keeps working. The
+// configured timeout must be set and bounded; the test then shortens it
+// so it runs in well under a second.
+func TestSlowHeaderClientCutOff(t *testing.T) {
+	s, err := New(Config{Flat: testFlat(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.srv.ReadHeaderTimeout; got <= 0 || got > 10*time.Second {
+		t.Fatalf("ReadHeaderTimeout = %v, want a bound of a few seconds", got)
+	}
+	const short = 150 * time.Millisecond
+	s.srv.ReadHeaderTimeout = short
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	slow, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: pathsep\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := slow.SetReadDeadline(start.Add(20 * short)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, slow)
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatalf("slow-header client still connected after %v", time.Since(start))
+	}
+
+	idle, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	br := bufio.NewReader(idle)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			time.Sleep(3 * short)
+		}
+		if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: pathsep\r\n\r\n"); err != nil {
+			t.Fatalf("round %d: write on idle keep-alive connection: %v", round, err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("round %d: keep-alive connection dropped: %v", round, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d", round, resp.StatusCode)
+		}
 	}
 }

@@ -131,9 +131,13 @@ func TestParallelAuditDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl, err := o.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	audit := func(workers int) oracle.AuditResult {
 		draws := rand.New(rand.NewSource(9))
-		return o.AuditWorkers(grid.G, 80, draws.Intn, workers)
+		return fl.AuditWorkers(grid.G, 80, draws.Intn, workers)
 	}
 	ref := audit(1)
 	if ref.Pairs == 0 {
@@ -166,7 +170,8 @@ func TestQueryBoundsGuards(t *testing.T) {
 			t.Fatalf("Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
 		}
 	}
-	if d := pathsep.QueryLabels(nil, &o.Labels[0]); !math.IsInf(d, 1) {
+	l0 := o.Label(0)
+	if d := pathsep.QueryLabels(nil, &l0); !math.IsInf(d, 1) {
 		t.Fatalf("QueryLabels(nil, l) = %v, want +Inf", d)
 	}
 
@@ -210,7 +215,7 @@ func TestEpsilonValidation(t *testing.T) {
 	}
 }
 
-// TestQuerySnapshotRaceStress hammers Oracle.Query from several
+// TestQuerySnapshotRaceStress hammers Flat.Query from several
 // goroutines (per-goroutine rngs via SplitRand) while another goroutine
 // drains metrics snapshots — the -race acceptance test for the
 // lock-free instrumentation on the query path.
@@ -226,6 +231,11 @@ func TestQuerySnapshotRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl, err := o.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.SetMetrics(reg)
 	const goroutines, queries = 8, 400
 	rngs := pathsep.SplitRand(rand.New(rand.NewSource(13)), goroutines)
 	stop := make(chan struct{})
@@ -254,7 +264,7 @@ func TestQuerySnapshotRaceStress(t *testing.T) {
 			for q := 0; q < queries; q++ {
 				// Mix malformed IDs in so the bounds guard is raced too.
 				u, v := r.Intn(n+2)-1, r.Intn(n+2)-1
-				if d := o.Query(u, v); d < 0 {
+				if d := fl.Query(u, v); d < 0 {
 					t.Errorf("Query(%d,%d) = %v", u, v, d)
 					return
 				}

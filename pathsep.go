@@ -17,6 +17,12 @@
 //	dec, _ := pathsep.Decompose(g, pathsep.Options{})
 //	orc, _ := pathsep.NewOracle(dec, pathsep.OracleOptions{Epsilon: 0.1})
 //	dist := orc.Query(0, 3) // within (1+0.1) of the true distance
+//	l0, l3 := orc.Label(0), orc.Label(3)
+//	same := pathsep.QueryLabels(&l0, &l3) // the same answer from two labels alone
+//
+// An Oracle is one compiled image: it answers distance, batch, path and
+// audit queries, and Encode / DecodeOracle move it between processes
+// (cmd/pathsepd serves it over HTTP).
 //
 // The heavy lifting lives in the internal packages; this package is the
 // stable facade. Internal subsystem layout:
@@ -88,7 +94,7 @@ func ServeDebug(addr string, m *Metrics) (*http.Server, <-chan struct{}, error) 
 func WriteMetricsPrometheus(w io.Writer, m *Metrics) error { return m.WritePrometheus(w) }
 
 // SlowQuerySampler retains the N slowest query exemplars (u, v, dist,
-// ns); attach one to a FlatOracle with SetSlowSampler. The nil sampler
+// ns); attach one to an Oracle with SetSlowSampler. The nil sampler
 // discards everything at zero cost.
 type SlowQuerySampler = obs.SlowQuerySampler
 
@@ -117,27 +123,20 @@ type Decomposition = core.Tree
 // Separator is a k-path separator (Definition 1 of the paper).
 type Separator = core.Separator
 
-// Oracle is the Theorem 2 (1+ε)-approximate distance oracle. Besides
-// distances (Query), it reports witness paths: QueryPath(u, v, buf)
-// returns a u-to-v walk whose weight is exactly the reported distance,
-// assembled from the per-portal parent links recorded at build time.
-type Oracle = oracle.Oracle
+// Oracle is the Theorem 2 (1+ε)-approximate distance oracle in its one
+// compiled form: a struct-of-arrays image with one contiguous portal
+// pool, CSR entry offsets and interned separator-path keys. Queries are
+// goroutine-safe and allocation-free. Query answers a distance,
+// QueryBatch a slice of pairs into a caller-owned buffer (fanning out
+// over the worker pool), and QueryPath a witness walk whose weight is
+// exactly the reported distance, assembled from the per-portal parent
+// links recorded at build time. Label(v) returns v's distance label.
+type Oracle = oracle.Flat
 
 // Label is a vertex's distance label (the distributed form of the oracle).
 type Label = oracle.Label
 
-// FlatOracle is the compiled read-only serving form of an Oracle: a
-// struct-of-arrays layout with one contiguous portal pool, CSR entry
-// offsets and interned separator-path keys. Build one with
-// Oracle.Freeze(); queries are goroutine-safe, allocation-free and
-// bit-identical to the pointer form. FlatOracle.QueryBatch answers a
-// slice of pairs into a caller-owned buffer, fanning out over the worker
-// pool. FlatOracle.QueryPath reports a witness path into a caller
-// buffer (allocation-free once the buffer is warm); every image carries
-// the path records it walks.
-type FlatOracle = oracle.Flat
-
-// QueryPair is one (U, V) query of a FlatOracle batch.
+// QueryPair is one (U, V) query of an Oracle batch.
 type QueryPair = oracle.Pair
 
 // Router is the compact routing scheme.
@@ -254,30 +253,42 @@ type OracleOptions struct {
 	Workers int
 }
 
-// NewOracle builds the Theorem 2 distance oracle over a decomposition.
+// NewOracle builds the Theorem 2 labels over a decomposition and
+// compiles them into the oracle's serving image.
 func NewOracle(d *Decomposition, opt OracleOptions) (*Oracle, error) {
 	mode := oracle.CoverExact
 	if opt.Mode == OraclePortals {
 		mode = oracle.CoverPortal
 	}
-	return oracle.Build(d, oracle.Options{
+	labels, err := oracle.Build(d, oracle.Options{
 		Epsilon:        opt.Epsilon,
 		Mode:           mode,
 		PortalsPerPath: opt.PortalsPerPath,
 		Metrics:        opt.Metrics,
 		Workers:        opt.Workers,
 	})
+	if err != nil {
+		return nil, err
+	}
+	orc, err := labels.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	if opt.Metrics != nil {
+		orc.SetMetrics(opt.Metrics)
+	}
+	return orc, nil
 }
 
 // QueryLabels answers an approximate distance query from two labels alone
 // (the distributed distance-labeling scheme of Theorem 2).
 func QueryLabels(a, b *Label) float64 { return oracle.QueryLabels(a, b) }
 
-// DecodeFlatOracle parses a flat oracle produced by FlatOracle.Encode. On
+// DecodeOracle parses an oracle image produced by Oracle.Encode. On
 // little-endian hosts with an 8-byte-aligned buffer the result serves
 // straight from buf without rebuilding any per-label structure (zero
 // copy); the caller must not mutate buf afterwards.
-func DecodeFlatOracle(buf []byte) (*FlatOracle, error) { return oracle.DecodeFlat(buf) }
+func DecodeOracle(buf []byte) (*Oracle, error) { return oracle.DecodeFlat(buf) }
 
 // RouterOptions configures NewRouter.
 type RouterOptions struct {
@@ -427,11 +438,6 @@ type TreeLabeling = labeling.TreeLabeling
 func NewTreeLabeling(g *Graph) (*TreeLabeling, error) {
 	return labeling.BuildTree(g)
 }
-
-// FlatTreeLabeling is the frozen serving form of a TreeLabeling (the same
-// CSR layout as FlatOracle); build one with TreeLabeling.Freeze(). Queries
-// are exact, allocation-free and goroutine-safe.
-type FlatTreeLabeling = labeling.FlatTree
 
 // Float comparison helpers (re-exported from internal/core). Distances
 // are float64 sums accumulated along different computation paths, so raw

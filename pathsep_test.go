@@ -27,6 +27,40 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestNewOracleAttachesMetrics pins OracleOptions.Metrics' documented
+// contract: the registry receives the build accounting and, through the
+// compiled oracle, per-query latency and portal histograms; an image
+// decoded from the same bytes answers the same.
+func TestNewOracleAttachesMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	grid := pathsep.NewGrid(5, 5, pathsep.UniformWeights(1, 2), rng)
+	dec, err := pathsep.Decompose(grid.G, pathsep.Options{Embedding: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pathsep.NewMetrics()
+	orc, err := pathsep.NewOracle(dec, pathsep.OracleOptions{Epsilon: 0.25, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Gauge("oracle.portal_words").Value() != int64(orc.NumPortals()) {
+		t.Fatalf("oracle.portal_words = %d, image has %d portals", m.Gauge("oracle.portal_words").Value(), orc.NumPortals())
+	}
+	d := orc.Query(0, 24)
+	for _, name := range []string{"oracle.query_ns", "oracle.query_portals"} {
+		if c := m.Histogram(name).Count(); c != 1 {
+			t.Fatalf("%s count = %d after one query, want 1", name, c)
+		}
+	}
+	dup, err := pathsep.DecodeOracle(orc.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dup.Query(0, 24); math.Float64bits(got) != math.Float64bits(d) {
+		t.Fatalf("decoded Query(0,24) = %v, oracle %v", got, d)
+	}
+}
+
 func TestStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tree := pathsep.NewRandomTree(50, pathsep.UnitWeights(), rng)
@@ -83,7 +117,8 @@ func TestLabelsQuery(t *testing.T) {
 			if u == v {
 				continue
 			}
-			got := pathsep.QueryLabels(&orc.Labels[u], &orc.Labels[v])
+			lu, lv := orc.Label(u), orc.Label(v)
+			got := pathsep.QueryLabels(&lu, &lv)
 			want := orc.Query(u, v)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("labels disagree with oracle at (%d,%d)", u, v)
