@@ -3,7 +3,8 @@
 #   make check      fmt-check + vet + lint + build + race tests + determinism + fuzz smoke + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates
 #   make test       plain test run (the tier-1 gate)
 #   make fmt-check  fail on any tracked Go file (outside vendor/ and testdata/) that gofmt would change
-#   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
+#   make lint       run the 13 repo-specific analyzers (cmd/pathsep-lint) over ./..., NDJSON to LINT_findings.ndjson
+#   make lint-stats per-analyzer finding and suppression counts
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
 #   make fuzz-short short fuzz smoke of the graph/label/address decoders
 #   make bench-obs  regenerate BENCH_obs.json (metrics on vs. off numbers)
@@ -22,7 +23,7 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test fmt-check vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-decode
+.PHONY: check test fmt-check vet lint lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-decode
 
 check: fmt-check vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve
 
@@ -44,18 +45,15 @@ vet:
 $(LINT_BIN): $(LINT_SRC)
 	$(GO) build -o $(LINT_BIN) ./cmd/pathsep-lint
 
+# One JSON diagnostic per line (plus ::error annotations under
+# GITHUB_ACTIONS); the NDJSON stream is mirrored to LINT_findings.ndjson
+# (created even when clean), which CI uploads as an artifact alongside
+# the BENCH_*.json set.
 lint: $(LINT_BIN)
-	$(GO) vet -vettool=$(LINT_BIN) ./...
-
-# Machine-readable lint: one JSON diagnostic per line (plus ::error
-# annotations under GITHUB_ACTIONS). CI uses this form; the NDJSON
-# stream is mirrored to LINT_findings.ndjson (created even when clean),
-# which CI uploads as an artifact alongside the BENCH_*.json set.
-lint-json: $(LINT_BIN)
 	./$(LINT_BIN) -json -out=LINT_findings.ndjson ./...
 
 # Per-analyzer finding and suppression counts: the findings come from
-# the same vet run as lint-json; suppressions are the exception-granting
+# the same vet invocation as lint; suppressions are the exception-granting
 # directives (//pathsep:detached, //pathsep:lease-bypass) counted in
 # non-test library sources. Rising
 # suppressions with flat findings means exceptions are doing an

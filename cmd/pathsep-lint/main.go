@@ -1,7 +1,7 @@
 // Command pathsep-lint is the repo's custom static-analysis suite (see
 // internal/analyzers): the go/analysis passes that enforce pathsep's
-// correctness invariants, from nil-safe observability to the determinism
-// trio (maporder, slotwrite, sortcmp).
+// correctness invariants, from nil-safe observability to the image
+// lease and wire contract.
 //
 // It is a standard unitchecker binary, so it runs in two ways:
 //
@@ -240,9 +240,9 @@ func runJSON(self string, patterns []string, outPath string) int {
 }
 
 // suppressionDirectives maps each exception-granting directive comment
-// to the analyzer it silences. Opt-in directives (bare
-// //pathsep:hotpath, //pathsep:lease on a type) configure an analyzer
-// rather than suppress it and are deliberately not counted.
+// to the analyzer it silences. The opt-in //pathsep:lease directive on
+// a type configures an analyzer rather than suppressing it and is
+// deliberately not counted.
 var suppressionDirectives = map[string]string{
 	"//pathsep:detached":     "ctxdone",
 	"//pathsep:lease-bypass": "leasepair",

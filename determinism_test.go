@@ -1,9 +1,10 @@
 // The runtime determinism gate (make determinism): every schedule the
 // pipeline can experience — different GOMAXPROCS, different pool widths,
 // shuffled task submission order — must produce a byte-identical flat
-// oracle image and the same path-reporting capability. The static side of the same invariant is the
-// maporder/slotwrite/sortcmp analyzer trio; this gate catches whatever
-// slips past a conservative static pass.
+// oracle image and the same path-reporting capability. The static side
+// of the same invariant is the maporder and sortcmp analyzers; this gate,
+// with go test -race and the golden image digests, is the only check on
+// par task slot writes.
 //
 // The full matrix rebuilds each family dozens of times, so it only runs
 // when DETERMINISM_GATE=1 is set (the determinism Make target); plain

@@ -14,8 +14,8 @@ import (
 // set. Bump the count when registering a new analyzer.
 func TestAll(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 15 {
-		t.Fatalf("All() returned %d analyzers, want exactly 15", len(all))
+	if len(all) != 13 {
+		t.Fatalf("All() returned %d analyzers, want exactly 13", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
@@ -31,8 +31,8 @@ func TestAll(t *testing.T) {
 
 // TestTestdataDrift asserts every analyzer in All() ships want-coverage:
 // a testdata/src tree next to its source. A new analyzer registered
-// without testdata silently runs untested; this is the drift check CI's
-// analyzer-testdata step leans on.
+// without testdata silently runs untested; make check runs this drift
+// check with the analyzers' want-tests.
 func TestTestdataDrift(t *testing.T) {
 	// ssaflow is infrastructure (reports nothing), so it carries no
 	// testdata; everything in All() must.

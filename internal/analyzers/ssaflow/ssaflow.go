@@ -1,9 +1,9 @@
-// Package ssaflow is the shared value-flow layer under the determinism
-// analyzers (maporder, slotwrite, sortcmp). It plays the role
+// Package ssaflow is the shared value-flow layer under the flow-sensitive
+// analyzers (maporder, sortcmp, atomicmix, poolleak, ctxdone, leasepair,
+// unsafeview). It plays the role
 // golang.org/x/tools/go/analysis/passes/buildssa plays for SSA-based
 // passes: one pass builds a per-package function index plus conservative
-// def-use utilities, and the determinism analyzers consume its Result via
-// Requires.
+// def-use utilities, and the analyzers consume its Result via Requires.
 //
 // The toolchain-vendored x/tools subset this repo carries (see DESIGN.md,
 // "Static analysis") does not include go/ssa, so ssaflow implements the
@@ -13,8 +13,8 @@
 //     and function literals alike, each analyzed as its own unit;
 //   - object-level def-use queries: the base storage object of an lvalue,
 //     whether an expression mentions an object (skipping len/cap, whose
-//     results carry no element order), and free-variable sets of function
-//     literals;
+//     results carry no element order), and whether an object is declared
+//     inside a body;
 //   - a Taint store used by maporder's flow-sensitive reachability walk:
 //     objects tainted at a program point, with the originating map-range
 //     position retained for diagnostics.
@@ -38,10 +38,10 @@ import (
 )
 
 // Analyzer builds the per-package function index. It reports nothing
-// itself; the determinism analyzers require it.
+// itself; the flow-sensitive analyzers require it.
 var Analyzer = &analysis.Analyzer{
 	Name:       "ssaflow",
-	Doc:        "build per-function value-flow summaries for the determinism analyzers",
+	Doc:        "build per-function value-flow summaries for the flow-sensitive analyzers",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: reflect.TypeOf((*Result)(nil)),
 	Run:        run,
@@ -160,28 +160,11 @@ func Mentions(info *types.Info, e ast.Expr, pred func(types.Object) bool) bool {
 }
 
 // DeclaredWithin reports whether obj's declaration lies inside node's
-// source extent — the "is it a local of this body?" test used for slot
-// discipline and taint sources.
+// source extent — the "is it a local of this body?" test used for taint
+// sources and the atomic publish rule.
 func DeclaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() != token.NoPos &&
 		obj.Pos() >= node.Pos() && obj.Pos() < node.End()
-}
-
-// FreeVars returns the variables a function literal uses but does not
-// declare — the captured state a parallel task shares with its siblings.
-func FreeVars(info *types.Info, lit *ast.FuncLit) map[*types.Var]bool {
-	free := map[*types.Var]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := info.ObjectOf(id).(*types.Var); ok && !DeclaredWithin(v, lit) {
-			free[v] = true
-		}
-		return true
-	})
-	return free
 }
 
 // IsOrderCarrying reports whether values of type t can carry an iteration

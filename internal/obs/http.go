@@ -102,6 +102,15 @@ func Publish(r *Registry) error {
 // forever; idle keep-alive connections between requests are unaffected.
 const readHeaderTimeout = 5 * time.Second
 
+// readTimeout bounds how long one whole request may take to arrive, and
+// idleTimeout how long a keep-alive connection may sit between requests,
+// so a client that stalls mid-request or parks a connection cannot hold
+// it forever.
+const (
+	readTimeout = 60 * time.Second
+	idleTimeout = 120 * time.Second
+)
+
 // Serve binds addr and serves RegisterDebug's endpoints for r on a
 // private mux in a background goroutine. It returns once the listener is
 // bound — a bad address fails here, not asynchronously — and the caller
@@ -123,7 +132,13 @@ func Serve(addr string, r *Registry) (*http.Server, <-chan struct{}, error) {
 	}
 	mux := http.NewServeMux()
 	RegisterDebug(mux, r)
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{
+		Addr:              ln.Addr().String(),
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan struct{})
 	go func() {
 		// Serve returns http.ErrServerClosed on Shutdown/Close; any other

@@ -24,6 +24,10 @@ func TestServeLifecycle(t *testing.T) {
 	if srv.ReadHeaderTimeout <= 0 {
 		t.Fatal("debug server sets no ReadHeaderTimeout: a slow-header client holds a goroutine forever")
 	}
+	if srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("debug server ReadTimeout = %v, IdleTimeout = %v: a stalled client holds its connection forever",
+			srv.ReadTimeout, srv.IdleTimeout)
+	}
 	base := "http://" + srv.Addr
 
 	get := func(path string) (int, string) {

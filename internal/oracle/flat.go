@@ -440,8 +440,6 @@ func (f *Flat) Query(u, v int) float64 {
 // parallelism the speculative fetch down the predicted path provides.
 // A separate function keeps the loop's live values inside one register
 // file instead of spilling the caller's merge state around it.
-//
-//pathsep:hotpath
 func sweepRec(recA, recB []float64, kA, kB int, best float64) float64 {
 	if kA == 0 || kB == 0 {
 		return best
@@ -474,9 +472,8 @@ func sweepRec(recA, recB []float64, kA, kB int, best float64) float64 {
 // over its sweep-lane runs. The candidate values are exactly
 // queryLabels'/pairMin's — min over an identical multiset — which the
 // differential tests pin down bit for bit. portals counts the pool
-// records visited, for the query_portals histogram.
-//
-//pathsep:hotpath
+// records visited, for the query_portals histogram. TestFlatQueryZeroAllocs
+// holds query and sweepRec at 0 allocs/op.
 func (f *Flat) query(u, v int) (float64, int) {
 	best := math.Inf(1)
 	portals := 0
@@ -503,8 +500,6 @@ func (f *Flat) query(u, v int) (float64, int) {
 }
 
 // answer is Query without instrumentation: the per-pair unit of QueryBatch.
-//
-//pathsep:hotpath
 func (f *Flat) answer(u, v int) float64 {
 	if u < 0 || v < 0 || u >= f.n || v >= f.n {
 		return math.Inf(1)

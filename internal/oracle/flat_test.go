@@ -434,3 +434,20 @@ func FuzzDecodeFlat(f *testing.F) {
 		}
 	})
 }
+
+// TestQueryLabelsZeroAllocs pins the label-only query (queryLabels and
+// its pairMin fold) at 0 allocs/op: QueryLabels is the distributed
+// scheme of Theorem 2 and the reference Flat.Query is held to, and no
+// other runtime gate measures its allocations.
+func TestQueryLabelsZeroAllocs(t *testing.T) {
+	_, o := buildSeeded(t, 3, 120, CoverPortal)
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		u, v := i%o.N, (i*37+11)%o.N
+		QueryLabels(&o.Labels[u], &o.Labels[v])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("QueryLabels: %v allocs/run, want 0", allocs)
+	}
+}

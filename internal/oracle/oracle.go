@@ -519,9 +519,7 @@ func QueryLabels(lu, lv *Label) float64 {
 // queryLabels is QueryLabels on non-nil labels: the merge-join over
 // shared keys folding pairMin. Flat.query visits the same keys in the
 // same order and evaluates the same candidates, so Flat.Query equals it
-// bit for bit.
-//
-//pathsep:hotpath
+// bit for bit. TestQueryLabelsZeroAllocs holds it at 0 allocs/op.
 func queryLabels(lu, lv *Label) float64 {
 	best := math.Inf(1)
 	i, j := 0, 0
@@ -545,9 +543,7 @@ func queryLabels(lu, lv *Label) float64 {
 
 // pairMin computes min over portals p in a, q in b of
 // p.Dist + |p.Pos - q.Pos| + q.Dist in linear time via a merged sweep
-// (both lists are sorted by position).
-//
-//pathsep:hotpath
+// (both lists are sorted by position), without allocating.
 func pairMin(a, b []Portal) float64 {
 	best := math.Inf(1)
 	// Sweep left-to-right: for each element of one list, combine with the

@@ -269,9 +269,8 @@ func (s *Server) handleQueryPath(w http.ResponseWriter, r *http.Request) {
 
 // decodePairs parses len(dst) little-endian (uint32, uint32) pairs from
 // src into dst. The caller sizes both; the loop stays allocation-free so
-// the binary batch path costs only its pooled buffers.
-//
-//pathsep:hotpath
+// the binary batch path costs only its pooled buffers
+// (TestBatchCodecZeroAllocs).
 func decodePairs(dst []oracle.Pair, src []byte) {
 	for i := range dst {
 		u := binary.LittleEndian.Uint32(src[8*i:])
@@ -281,9 +280,7 @@ func decodePairs(dst []oracle.Pair, src []byte) {
 }
 
 // encodeDists writes src as little-endian float64 bits into dst, which
-// the caller has sized to 8*len(src).
-//
-//pathsep:hotpath
+// the caller has sized to 8*len(src), without allocating.
 func encodeDists(dst []byte, src []float64) {
 	for i, d := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(d))

@@ -42,6 +42,17 @@ const DefaultMaxBatch = 1 << 16
 // between requests are not affected.
 const readHeaderTimeout = 5 * time.Second
 
+// readTimeout bounds how long one request, headers and body, may take to
+// arrive, so a client that sends complete headers and then stalls its
+// body is cut off: the handler's body read fails and the handler
+// returns. It leaves room for a reload upload of a large image (a
+// 20 MB image at 1 MB/s takes 20 s).
+const readTimeout = 60 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests. Without it net/http falls back to readTimeout.
+const idleTimeout = 120 * time.Second
+
 // Config assembles a Server.
 type Config struct {
 	// Flat is the image to serve. Required. New attaches serving metrics
@@ -167,7 +178,12 @@ func New(cfg Config) (*Server, error) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	obs.RegisterDebug(s.mux, reg)
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s, nil
 }
 

@@ -597,3 +597,90 @@ func TestSlowHeaderClientCutOff(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledBodyClientCutOff pins the stalled-body defence: a raw TCP
+// client that sends complete headers for POST /query/batch, declares a
+// body and then sends none holds a handler only until the read timeout
+// passes, after which the body read fails and Inflight returns to 0.
+// The configured timeouts must be set and leave room for a large reload
+// upload; the test then shortens the read timeout so it runs in well
+// under a second.
+func TestStalledBodyClientCutOff(t *testing.T) {
+	s, err := New(Config{Flat: testFlat(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.srv.ReadTimeout; got < 30*time.Second || got > 5*time.Minute {
+		t.Fatalf("ReadTimeout = %v, want a bound that still admits a 20 MB reload upload", got)
+	}
+	if got := s.srv.IdleTimeout; got <= 0 {
+		t.Fatalf("IdleTimeout = %v, want a bound", got)
+	}
+	const short = 150 * time.Millisecond
+	s.srv.ReadTimeout = short
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	stalled, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled,
+		"POST /query/batch HTTP/1.1\r\nHost: pathsep\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * short)
+	for s.Inflight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled request never reached its handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	for s.Inflight() != 0 {
+		if time.Since(start) > 20*short {
+			t.Fatalf("stalled-body client still holds a handler after %v", time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBatchCodecZeroAllocs pins the binary batch codec at 0 allocs/op:
+// decodePairs and encodeDists run once per /query/batchbin request over
+// pooled buffers, and no other runtime gate measures them.
+func TestBatchCodecZeroAllocs(t *testing.T) {
+	const n = 256
+	body := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(body[8*i:], uint32(i))
+		binary.LittleEndian.PutUint32(body[8*i+4:], uint32(n-i))
+	}
+	pairs := make([]oracle.Pair, n)
+	dists := make([]float64, n)
+	out := make([]byte, 8*n)
+	allocs := testing.AllocsPerRun(200, func() {
+		decodePairs(pairs, body)
+		for i, p := range pairs {
+			dists[i] = float64(p.U) + 0.5*float64(p.V)
+		}
+		encodeDists(out, dists)
+	})
+	if allocs != 0 {
+		t.Fatalf("batch codec: %v allocs/run, want 0", allocs)
+	}
+	for i := range dists {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(out[8*i:])); got != dists[i] {
+			t.Fatalf("pair %d: encoded %v, want %v", i, got, dists[i])
+		}
+	}
+}
